@@ -15,7 +15,6 @@ from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     BranchDomain,
     DegenerateState,
-    DetuningUnsupported,
     FracQslError,
     GridTooCoarse,
     InvalidOrder,
@@ -80,7 +79,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "DegenerateState",
     "DensityMatrix2",
-    "DetuningUnsupported",
     "EvalConfig",
     "FracQslError",
     "GridTooCoarse",

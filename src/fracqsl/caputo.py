@@ -73,6 +73,17 @@ def _check_beta(beta: float) -> None:
         raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
 
 
+def _l1_sum(times: np.ndarray, values: np.ndarray, beta: float, idx: int) -> np.ndarray:
+    """L1 history sum at node ``idx`` (idx >= 1), scaled by 1/Gamma(2-beta)."""
+    tn = times[idx]
+    tk = times[:idx]
+    tk1 = times[1 : idx + 1]
+    per_node = (slice(None),) + (None,) * (values.ndim - 1)
+    slopes = (values[1 : idx + 1] - values[:idx]) / (tk1 - tk)[per_node]
+    ker = ((tn - tk) ** (1.0 - beta) - (tn - tk1) ** (1.0 - beta))[per_node]
+    return np.sum(slopes * ker, axis=0) / gamma_fn(2.0 - beta)
+
+
 def caputo_derivative(signal: SampledSignal, beta: float, t_index: int) -> complex:
     """L1 value of the Caputo derivative at node ``t_index``.
 
@@ -95,16 +106,7 @@ def caputo_derivative(signal: SampledSignal, beta: float, t_index: int) -> compl
     if beta == 1.0:
         h = times[t_index] - times[t_index - 1]
         return (values[t_index] - values[t_index - 1]) / h
-
-    tn = times[t_index]
-    tk = times[:t_index]
-    tk1 = times[1 : t_index + 1]
-    slopes = (values[1 : t_index + 1] - values[:t_index]) / (tk1 - tk)[
-        (slice(None),) + (None,) * (values.ndim - 1)
-    ]
-    ker = (tn - tk) ** (1.0 - beta) - (tn - tk1) ** (1.0 - beta)
-    ker = ker[(slice(None),) + (None,) * (values.ndim - 1)]
-    total = np.sum(slopes * ker, axis=0) / gamma_fn(2.0 - beta)
+    total = _l1_sum(times, values, beta, t_index)
     return total if total.ndim else complex(total)
 
 
@@ -139,15 +141,7 @@ def caputo_derivative_all(signal: SampledSignal, beta: float) -> np.ndarray:
         return conv * (h ** (-beta) / gamma_fn(2.0 - beta))
     out = np.empty_like(values[1:])
     for idx in range(1, n):
-        tn = times[idx]
-        tk = times[:idx]
-        tk1 = times[1 : idx + 1]
-        slopes = (values[1 : idx + 1] - values[:idx]) / (tk1 - tk)[
-            (slice(None),) + (None,) * (values.ndim - 1)
-        ]
-        ker = (tn - tk) ** (1.0 - beta) - (tn - tk1) ** (1.0 - beta)
-        ker = ker[(slice(None),) + (None,) * (values.ndim - 1)]
-        out[idx - 1] = np.sum(slopes * ker, axis=0) / gamma_fn(2.0 - beta)
+        out[idx - 1] = _l1_sum(times, values, beta, idx)
     return out
 
 

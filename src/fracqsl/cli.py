@@ -23,7 +23,6 @@ import numpy as np
 
 from ._version import VERSION
 from .caputo import SampledSignal, tfse_residual
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import FracQslError, InvalidParams
 from .jcmodel import JCParams, QubitDynamics, interaction_hamiltonian, make_trajectory
 from .mlfun import MLOrder, ml_global
@@ -74,13 +73,6 @@ def _resolve_threads(value: int | None) -> int:
     return threads
 
 
-def _config_from(args) -> EvalConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT_CONFIG
-    return EvalConfig(rel_tol=tol, abs_tol=min(tol, DEFAULT_CONFIG.abs_tol))
-
-
 def _add_model_args(sp, with_weights: bool = True) -> None:
     sp.add_argument("--beta", type=float, required=True, help="fractional order in (0, 1]")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.5, help="coupling in [0, 1]")
@@ -102,14 +94,13 @@ def _params_from(args) -> JCParams:
 
 def _cmd_ml(args) -> int:
     order = MLOrder(args.beta, args.gamma)
-    value = ml_global(order, args.z, _config_from(args))
+    value = ml_global(order, args.z)
     print(f"E[beta={args.beta!r}, gamma={args.gamma!r}]({args.z!r}) = {value!r}")
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    params = _params_from(args)
-    engine = QubitDynamics(params, _config_from(args))
+    engine = QubitDynamics(_params_from(args))
     ts = np.array([args.tau])
     amps = engine.amplitudes(ts)
     rho_ee, rho_gg = engine.populations(ts)
@@ -124,7 +115,7 @@ def _cmd_verify(args) -> int:
     params = _params_from(args)
     if args.grid < 16:
         raise InvalidParams(f"grid must have at least 16 nodes, got {args.grid}")
-    engine = QubitDynamics(params, _config_from(args))
+    engine = QubitDynamics(params)
     times = np.linspace(0.0, args.tau, args.grid)
     states = engine.amplitudes(times)
     ham = interaction_hamiltonian(params.lam, params.n)
@@ -139,8 +130,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_qsl(args) -> int:
     params = _params_from(args)
-    cfg = _config_from(args)
-    point = qsl_point(params, args.tau, cfg)
+    point = qsl_point(params, args.tau)
     doc = {
         "tau": point.tau,
         "sin2_bures": point.sin2_bures,
@@ -151,8 +141,8 @@ def _cmd_qsl(args) -> int:
         "ratio_max": point.ratio_max,
     }
     if args.tau_d is not None:
-        traj = make_trajectory(params, args.tau + args.tau_d, cfg=cfg)
-        window = qsl_mlmt(traj, args.tau, args.tau_d, cfg)
+        traj = make_trajectory(params, args.tau + args.tau_d)
+        window = qsl_mlmt(traj, args.tau, args.tau_d)
         doc["window"] = {
             "tau_qsl": window.tau_qsl,
             "relative_purity": window.relative_purity,
@@ -180,7 +170,6 @@ def _cmd_sweep(args) -> int:
         axis=args.axis,
         grid=_parse_grid(args.grid),
         fixed=fixed,
-        quadrature=_config_from(args),
         output=args.format,
         threads=_resolve_threads(args.threads),
     )
@@ -222,13 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("z", type=_complex_arg, help="argument, e.g. '-1.5' or '1+2j'")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=None, help="relative tolerance")
     sp.set_defaults(func=_cmd_ml)
 
     sp = sub.add_parser("evolve", help="amplitudes and populations at one time")
     _add_model_args(sp)
     sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=None)
     sp.set_defaults(func=_cmd_evolve)
 
     sp = sub.add_parser("verify", help="equation-of-motion residual of a trajectory")
@@ -243,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--tau-d", dest="tau_d", type=float, default=None,
                     help="window length for the relative-purity bound")
-    sp.add_argument("--tol", type=float, default=None)
     sp.set_defaults(func=_cmd_qsl)
 
     sp = sub.add_parser("sweep", help="scan one axis, fixing the rest")
@@ -256,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=math.sqrt(0.5))
     sp.add_argument("--b", type=float, default=math.sqrt(0.5))
     sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", type=str, default=None, help="output file (stdout if omitted)")

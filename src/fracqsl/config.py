@@ -14,8 +14,6 @@ class EvalConfig:
 
     Attributes
     ----------
-    rel_tol : float
-        Target relative accuracy of special-function values and integrals.
     abs_tol : float
         Absolute floor below which contributions are considered converged.
     max_terms : int
@@ -27,15 +25,12 @@ class EvalConfig:
         variable; acts as a safety cap on top of the decay-budget bound.
     """
 
-    rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_terms: int = 600
     quad_points: int = 15
     quad_cutoff: float = 1e8
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise InvalidParams("rel_tol must be positive and finite")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise InvalidParams("abs_tol must be positive and finite")
         if self.max_terms < 1:

@@ -38,10 +38,6 @@ class GridTooCoarse(FracQslError, ValueError):
     """Too few samples for the requested discrete operation."""
 
 
-class DetuningUnsupported(FracQslError, ValueError):
-    """Closed-form evolution requires zero detuning."""
-
-
 class DegenerateState(FracQslError, ArithmeticError):
     """State normalization vanished; populations are undefined."""
 

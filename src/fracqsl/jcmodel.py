@@ -15,7 +15,6 @@ consumers flag that case in their metadata.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     DegenerateState,
-    DetuningUnsupported,
     GridTooCoarse,
     InvalidOrder,
     InvalidParams,
@@ -45,9 +43,14 @@ __all__ = [
     "reduced_density",
     "density_derivative",
     "make_trajectory",
+    "cycle_grid",
 ]
 
 _HALF_SQRT2 = math.sqrt(0.5)
+# Grid nodes per radian of the population cycle when bracketing extrema.
+_NODES_PER_RADIAN = 2.55
+_MIN_GRID = 600
+_MAX_GRID = 60000
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class JCParams:
 
     ``a`` and ``b`` are the projector weights described in the module
     docstring; the default (sqrt(1/2), sqrt(1/2)) is the physical
-    eigenvector pair.  Only zero detuning supports evolution.
+    eigenvector pair.
     """
 
     beta: float
@@ -64,7 +67,6 @@ class JCParams:
     n: int
     a: float = _HALF_SQRT2
     b: float = _HALF_SQRT2
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
         if not (
@@ -90,14 +92,11 @@ class JCParams:
             raise InvalidParams(
                 f"weights must satisfy a^2 + b^2 = 1, got {self.a**2 + self.b**2!r}"
             )
-        if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta)):
-            raise InvalidParams(f"delta must be finite, got {self.delta!r}")
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "delta", float(self.delta))
 
     @property
     def coupling(self) -> float:
@@ -188,23 +187,17 @@ class Trajectory:
         object.__setattr__(self, "rho_dot", rho_dot)
 
 
-def interaction_hamiltonian(
-    lam: float, n: int, delta: float = 0.0, t: float = 0.0
-) -> np.ndarray:
-    """Coupling block in the {|g, n+1>, |e, n>} basis.
+def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
+    """Resonant coupling block in the {|g, n+1>, |e, n>} basis.
 
-    Off-diagonal magnitude lam * sqrt(n+1) with detuning phases
-    exp(-i*delta*t) (upper) and exp(+i*delta*t) (lower).
+    Both off-diagonal entries equal lam * sqrt(n+1).
     """
     if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise InvalidParams(f"lam must lie in [0, 1], got {lam!r}")
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
-    if not (math.isfinite(delta) and math.isfinite(t)):
-        raise InvalidParams("delta and t must be finite")
     g = lam * math.sqrt(n + 1.0)
-    phase = cmath.exp(-1j * delta * t)
-    return np.array([[0.0, g * phase], [g * phase.conjugate(), 0.0]], dtype=complex)
+    return np.array([[0.0, g], [g, 0.0]], dtype=complex)
 
 
 def spectral_decomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,10 +232,6 @@ class QubitDynamics:
     """
 
     def __init__(self, params: JCParams, cfg: EvalConfig = DEFAULT_CONFIG) -> None:
-        if params.delta != 0.0:
-            raise DetuningUnsupported(
-                "evolution is implemented on resonance only (delta = 0)"
-            )
         if params.b == 0.0:
             raise DegenerateState(
                 "b = 0 gives identically vanishing amplitudes; no state to track"
@@ -269,18 +258,6 @@ class QubitDynamics:
         )
         return rows[0], rows[1]
 
-    def eigenfactor_rates(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Time derivatives of the two eigenfactors; times must be positive."""
-        times = np.asarray(times, dtype=float)
-        if times.size and times.min() <= 0.0:
-            raise InvalidParams("eigenfactor rates need strictly positive times")
-        beta = self.params.beta
-        rows = ml_linear_batch(
-            beta, [(self._c_plus, beta), (self._c_minus, beta)], times, self.cfg
-        )
-        pref = times ** (beta - 1.0)
-        return self._c_plus * pref * rows[0], self._c_minus * pref * rows[1]
-
     def amplitudes(self, times: np.ndarray) -> np.ndarray:
         """Unnormalized (c_g, c_e) rows for each time."""
         e2, e1 = self.eigenfactors(times)
@@ -292,11 +269,7 @@ class QubitDynamics:
 
     def populations(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized (rho_ee, rho_gg) along the grid."""
-        e2, e1 = self.eigenfactors(times)
-        u, v = self._population_weights(e2, e1)
-        norm = u + v
-        if np.any(norm < 1e-300):
-            raise DegenerateState("population normalization vanished")
+        u, v, norm = self._population_weights(*self.eigenfactors(times))
         return u / norm, v / norm
 
     def population_rate(self, times: np.ndarray) -> np.ndarray:
@@ -330,33 +303,31 @@ class QubitDynamics:
         )
         e2, e1, f2, f1 = rows
         a, b = self.params.a, self.params.b
-        s = e2 + e1
-        d = e2 - e1
-        u = b**4 * np.abs(s) ** 2
-        v = (a * b) ** 2 * np.abs(d) ** 2
-        norm = u + v
-        if np.any(norm < 1e-300):
-            raise DegenerateState("population normalization vanished")
-        rho_ee = u / norm
-        rho_gg = v / norm
+        u, v, norm = self._population_weights(e2, e1)
         rate = np.zeros(times.size, dtype=float)
         pos = times > 0.0
         if np.any(pos):
+            s = e2[pos] + e1[pos]
+            d = e2[pos] - e1[pos]
             pref = times[pos] ** (beta - 1.0)
             sdot = pref * (self._c_plus * f2[pos] + self._c_minus * f1[pos])
             ddot = pref * (self._c_plus * f2[pos] - self._c_minus * f1[pos])
-            udot = b**4 * 2.0 * np.real(np.conj(s[pos]) * sdot)
-            vdot = (a * b) ** 2 * 2.0 * np.real(np.conj(d[pos]) * ddot)
+            udot = b**4 * 2.0 * np.real(np.conj(s) * sdot)
+            vdot = (a * b) ** 2 * 2.0 * np.real(np.conj(d) * ddot)
             rate[pos] = (udot * v[pos] - u[pos] * vdot) / norm[pos] ** 2
-        return rho_ee, rho_gg, rate
+        return u / norm, v / norm, rate
 
     def _population_weights(
         self, e2: np.ndarray, e1: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unnormalized weights u, v of (rho_ee, rho_gg) and their sum."""
         a, b = self.params.a, self.params.b
         u = b**4 * np.abs(e2 + e1) ** 2
         v = (a * b) ** 2 * np.abs(e2 - e1) ** 2
-        return u, v
+        norm = u + v
+        if np.any(norm < 1e-300):
+            raise DegenerateState("population normalization vanished")
+        return u, v, norm
 
 
 def evolve(
@@ -367,8 +338,6 @@ def evolve(
     Scalar route: each eigenfactor is an independent ``ml_global`` call,
     so this does not share state with the vectorized engine.
     """
-    if params.delta != 0.0:
-        raise DetuningUnsupported("evolution is implemented on resonance only")
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0.0):
         raise InvalidParams(f"tau must be nonnegative, got {tau!r}")
     beta = params.beta
@@ -431,16 +400,25 @@ def density_derivative(
     return np.array([[-rate, 0.0], [0.0, rate]], dtype=float)
 
 
-def _default_grid(engine: QubitDynamics, t_end: float, num_points: int) -> np.ndarray:
-    """Time grid resolving the population cycle, with a geometric head.
+def cycle_grid(
+    omega: float, t_start: float, t_end: float, count: int | None = None
+) -> np.ndarray:
+    """Sampling grid on [t_start, t_end] for a population cycling at rate omega.
 
-    The head nodes resolve the t**(2*beta) short-time layer that a
-    uniform grid would step over.
+    By default the node count is 2.55 per radian of the cycle, clamped
+    to [600, 60000], so that every extremum of the population is
+    bracketed.  A window starting at 0 gets a geometric head that
+    resolves the t**(2*beta) short-time layer a uniform grid would step
+    over.
     """
-    body = np.linspace(0.0, t_end, num_points)
-    head_start = t_end * 1e-9
+    if count is None:
+        wanted = math.ceil(_NODES_PER_RADIAN * omega * (t_end - t_start))
+        count = min(max(wanted, _MIN_GRID), _MAX_GRID)
+    body = np.linspace(t_start, t_end, count)
+    if t_start > 0.0:
+        return body
     head = []
-    x = head_start
+    x = t_end * 1e-9
     while x < body[1]:
         head.append(x)
         x *= 3.0
@@ -455,19 +433,17 @@ def make_trajectory(
 ) -> Trajectory:
     """Sample amplitudes and populations on [0, t_end].
 
-    The default node count tracks the oscillation rate g**(1/beta) so
-    each population cycle gets a fixed sample budget; an explicit
+    The default node count is that of ``cycle_grid``; an explicit
     ``num_points`` below 16 raises GridTooCoarse.
     """
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
         raise InvalidParams(f"t_end must be positive, got {t_end!r}")
     engine = QubitDynamics(params, cfg)
-    if num_points is None:
-        omega = engine.oscillation_rate()
-        num_points = int(min(max(math.ceil(2.55 * omega * t_end), 600), 60000))
-    if num_points < 16:
-        raise GridTooCoarse(f"trajectory needs at least 16 points, got {num_points}")
-    times = _default_grid(engine, float(t_end), int(num_points))
+    if num_points is not None:
+        if num_points < 16:
+            raise GridTooCoarse(f"trajectory needs at least 16 points, got {num_points}")
+        num_points = int(num_points)
+    times = cycle_grid(engine.oscillation_rate(), 0.0, float(t_end), num_points)
     states = engine.amplitudes(times)
     rho_ee, _, rho_dot = engine.population_sample(times)
     return Trajectory(

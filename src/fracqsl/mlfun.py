@@ -242,9 +242,7 @@ def _residue_factor(beta: float, gamma: float, c: complex) -> tuple[complex, com
     return pole, pole ** (1.0 - gamma) / beta
 
 
-def _ml_contour(
-    beta: float, gamma: float, z: complex, cfg: EvalConfig
-) -> complex:
+def _ml_contour(beta: float, gamma: float, z: complex) -> complex:
     """Bromwich inversion of s**(beta-gamma) / (s**beta - z) on a parabola.
 
     Midpoint trapezoid on s = mu*(1+i*u)**2; the pole z**(1/beta), when it
@@ -253,12 +251,10 @@ def _ml_contour(
     contour.  Marginal placements move mu instead.
     """
     z = complex(z)
-    pole = None
-    if abs(cmath.phase(z)) < beta * math.pi - 1e-13:
-        pole = z ** (1.0 / beta)
     mu = 3.0
-    include = False
-    if pole is not None:
+    residue = None
+    if _has_residue(beta, z):
+        pole = z ** (1.0 / beta)
         rho = abs(pole)
         phi = abs(cmath.phase(pole))
         x_rel = math.sqrt(rho / mu) * math.cos(phi / 2.0)
@@ -266,7 +262,12 @@ def _ml_contour(
             # Move the contour so the pole is clearly inside or outside.
             mu_try = rho * math.cos(phi / 2.0) ** 2 / 4.0
             mu = mu_try if mu_try > 0.05 else rho * math.cos(phi / 2.0) ** 2 / 0.25
-        include = math.sqrt(rho / mu) * math.cos(phi / 2.0) > 1.0
+        if math.sqrt(rho / mu) * math.cos(phi / 2.0) > 1.0:
+            if pole.real > 700.0:
+                raise NonConvergence(
+                    f"residue exp({pole.real:.3g}) exceeds double range"
+                )
+            residue = cmath.exp(pole) * pole ** (1.0 - gamma) / beta
 
     n = _CONTOUR_NODES
     h = 2.0 * math.sqrt(1.0 + 37.0 / mu) / n
@@ -276,13 +277,8 @@ def _ml_contour(
     ds = mu * 2j * (1.0 + 1j * u)
     vals = np.exp(s) * s ** (beta - gamma) / (s**beta - z) * ds
     total = complex(np.sum(vals)) * h / (2j * math.pi)
-    if include:
-        assert pole is not None
-        if pole.real > 700.0:
-            raise NonConvergence(
-                f"residue exp({pole.real:.3g}) exceeds double range"
-            )
-        total += cmath.exp(pole) * pole ** (1.0 - gamma) / beta
+    if residue is not None:
+        total += residue
     return _ensure_value(total, "contour inversion")
 
 
@@ -304,7 +300,7 @@ def ml_global(order: MLOrder, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> c
         return cmath.exp(z)
     if abs(z) <= series_radius(beta):
         return ml_series(order, z, cfg)
-    return _ml_contour(beta, gamma, z, cfg)
+    return _ml_contour(beta, gamma, z)
 
 
 def _split_parts(
@@ -507,10 +503,7 @@ def ml_linear_batch(
                     v = v * t_mesh ** (1.0 - gamma)
                 out[i, mesh_mask] = v
         for i, c, gamma in contour_pairs:
-            order = MLOrder(beta, gamma)
-            out[i, mesh_mask] = [
-                _ml_contour(beta, gamma, c * t**beta, cfg) for t in t_mesh
-            ]
+            out[i, mesh_mask] = [_ml_contour(beta, gamma, c * t**beta) for t in t_mesh]
 
     _ensure_batch(out)
     return out

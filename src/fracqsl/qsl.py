@@ -11,9 +11,11 @@ by a bracketing secant iteration), which keeps the bound free of
 quadrature error: within a monotone segment the integral of |rate| is
 the endpoint difference.
 
-``qsl_ratio_formula`` recomputes the same ratio through an independent
-route: a closed-form numerator from the two eigenfactor values at tau
-and a panelwise Gauss-Legendre quadrature of |rate| for the denominator.
+``qsl_ratio_formula`` recomputes the same ratio through a second route:
+a closed-form numerator from the two eigenfactor values at tau, and a
+panelwise Gauss-Legendre quadrature of |rate| for the denominator.  Only
+the numerator is independent of the pipeline: the quadrature panels
+reuse its sampling grid, extremum search and population rate.
 ``qsl_mlmt`` bounds the time a state needs to reach the relative purity
 observed a window tau_D later.
 """
@@ -29,7 +31,7 @@ from scipy.special import gamma as gamma_fn
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import InvalidParams, NotPure
-from .jcmodel import JCParams, QubitDynamics, Trajectory
+from .jcmodel import JCParams, QubitDynamics, Trajectory, cycle_grid
 from .mlfun import MLOrder, ml_global
 
 __all__ = [
@@ -44,10 +46,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Grid nodes per radian of the population cycle when bracketing extrema.
-_NODES_PER_RADIAN = 2.55
-_MIN_GRID = 600
-_MAX_GRID = 60000
 
 
 @dataclass(frozen=True)
@@ -149,25 +147,6 @@ def bures_overlap_term(rho0: np.ndarray, rho_tau: np.ndarray) -> float:
     return abs(complex(np.trace(r0 @ rt)) - 1.0)
 
 
-def _qsl_grid(omega: float, t_start: float, t_end: float) -> np.ndarray:
-    """Sampling grid bracketing every extremum of the population.
-
-    Node count tracks the cycle rate; a geometric head resolves the
-    short-time power-law layer when the window starts at 0.
-    """
-    span = t_end - t_start
-    count = int(min(max(math.ceil(_NODES_PER_RADIAN * omega * span), _MIN_GRID), _MAX_GRID))
-    body = np.linspace(t_start, t_end, count)
-    if t_start > 0.0:
-        return body
-    head = []
-    x = t_end * 1e-9
-    while x < body[1]:
-        head.append(x)
-        x *= 3.0
-    return np.unique(np.concatenate([body, np.asarray(head)]))
-
-
 def _refine_crossings(
     engine: QubitDynamics,
     lo: np.ndarray,
@@ -257,16 +236,12 @@ def _total_variation(
     return float(np.sum(np.abs(np.diff(seq)))), int(zs.size)
 
 
-def _assert_diagonal_norm_identities(rates: np.ndarray) -> None:
-    """Closed-form Schatten values of diag(-r, r) against the definitions."""
-    for r in rates:
-        m = np.array([[-r, 0.0], [0.0, r]])
-        assert abs(schatten_norm(m, "op") - abs(r)) <= 1e-12 * (1.0 + abs(r))
-        assert abs(schatten_norm(m, "hs") - _SQRT2 * abs(r)) <= 1e-12 * (1.0 + abs(r))
-        assert abs(schatten_norm(m, "tr") - 2.0 * abs(r)) <= 1e-12 * (1.0 + abs(r))
-
-
 def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
+    """Bound summary from sin^2(B) and the total variation over [0, tau].
+
+    The Schatten norms of diag(-r, r) are (2, sqrt 2, 1) * |r|, so the
+    operator-norm ratio is the largest of the three and is ``ratio_max``.
+    """
     lam_op = tv / tau
     if tv == 0.0:
         # Frozen dynamics: no displacement, no average speed.
@@ -280,7 +255,6 @@ def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
             ratio_max=0.0,
         )
     ratio_op = sin2 / tv
-    ratios = (ratio_op, sin2 / (_SQRT2 * tv), sin2 / (2.0 * tv))
     return QslPoint(
         tau=tau,
         sin2_bures=sin2,
@@ -288,7 +262,7 @@ def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
         lambda_hs=_SQRT2 * lam_op,
         lambda_op=lam_op,
         ratio_op=ratio_op,
-        ratio_max=max(ratios),
+        ratio_max=ratio_op,
     )
 
 
@@ -299,10 +273,8 @@ def qsl_point(
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
         raise InvalidParams(f"tau must be positive, got {tau!r}")
     engine = QubitDynamics(params, cfg)
-    times = _qsl_grid(engine.oscillation_rate(), 0.0, float(tau))
+    times = cycle_grid(engine.oscillation_rate(), 0.0, float(tau))
     rho_ee, _, rates = engine.population_sample(times)
-    sample = rates[1 :: max(1, times.size // 5)][:5]
-    _assert_diagonal_norm_identities(sample)
     tv, _ = _total_variation(engine, times, rho_ee, rates)
     sin2 = abs(rho_ee[-1] - 1.0)
     return _point_from_variation(float(tau), sin2, tv)
@@ -315,10 +287,10 @@ def qsl_ml(
 ) -> QslPoint:
     """Speed-limit ratios from a precomputed trajectory.
 
-    ``rule`` picks how the reported best ratio is formed: ``op_only``
+    ``rule`` names how the reported best ratio is formed: ``op_only``
     reuses the operator-norm ratio, ``max_of_three`` maximizes over the
-    three norms explicitly.  The norm ordering makes both agree; the
-    explicit rule exists so that agreement is checkable.
+    three norms.  The norm ordering makes the operator-norm ratio the
+    largest, so both rules give the same point.
     """
     if rule not in ("op_only", "max_of_three"):
         raise InvalidParams(f"unknown rule {rule!r}")
@@ -326,23 +298,9 @@ def qsl_ml(
     times = trajectory.times
     tau = float(times[-1])
     rho_ee = trajectory.rho_ee
-    rates = trajectory.rho_dot
-    sample = rates[1 :: max(1, times.size // 5)][:5]
-    _assert_diagonal_norm_identities(sample)
-    tv, _ = _total_variation(engine, times, rho_ee, rates)
+    tv, _ = _total_variation(engine, times, rho_ee, trajectory.rho_dot)
     sin2 = abs(rho_ee[-1] - 1.0)
-    point = _point_from_variation(tau, sin2, tv)
-    if rule == "op_only":
-        return QslPoint(
-            tau=point.tau,
-            sin2_bures=point.sin2_bures,
-            lambda_tr=point.lambda_tr,
-            lambda_hs=point.lambda_hs,
-            lambda_op=point.lambda_op,
-            ratio_op=point.ratio_op,
-            ratio_max=point.ratio_op,
-        )
-    return point
+    return _point_from_variation(tau, sin2, tv)
 
 
 def qsl_mlmt(
@@ -356,8 +314,8 @@ def qsl_mlmt(
     The bound divides the purity displacement |f - 1| * tr(chi_tau^2) by
     the window average of the singular values of the state derivative
     paired (descending) with those of chi_tau.  For this diagonal model
-    that pairing collapses to |d rho_ee/dt| times the unit trace, which
-    is asserted per run on sampled nodes.
+    that pairing collapses to |d rho_ee/dt| times the unit trace of
+    chi_tau, so the window average is the total variation over tau_d.
     """
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0.0):
         raise InvalidParams(f"tau must be nonnegative, got {tau!r}")
@@ -378,20 +336,9 @@ def qsl_mlmt(
     overlap = float(np.sum(chi_later * chi_tau))
     rel_purity = overlap / tr_sq
 
-    times = _qsl_grid(engine.oscillation_rate(), t0, t1)
+    times = cycle_grid(engine.oscillation_rate(), t0, t1)
     rho_w, _, rates_w = engine.population_sample(times)
     tv, _ = _total_variation(engine, times, rho_w, rates_w)
-
-    # Descending singular-value pairing check on sampled window nodes:
-    # s(diag(-r, r)) = (|r|, |r|) paired with sigma(chi_tau) gives
-    # |r| * tr(chi_tau) = |r|.
-    sample = rates_w[1 :: max(1, times.size // 4)][:4]
-    sigma = np.sort(np.abs(chi_tau))[::-1]
-    assert abs(float(sigma.sum()) - 1.0) <= 1e-12
-    for r in sample:
-        s_pair = np.sort(np.abs(np.array([-r, r])))[::-1]
-        direct = float(s_pair @ sigma)
-        assert abs(direct - abs(r)) <= 1e-12 * (1.0 + abs(r))
 
     avg_sv = tv / tau_d
     avg_hs = _SQRT2 * avg_sv
@@ -442,7 +389,7 @@ def qsl_ratio_formula(
         b**2 * (p_sum + r_cross) + a**2 * (p_sum - r_cross)
     )
 
-    times = _qsl_grid(engine.oscillation_rate(), 0.0, tau)
+    times = cycle_grid(engine.oscillation_rate(), 0.0, tau)
     _, _, rates = engine.population_sample(times)
     zs = _extrema_times(engine, times, rates)
     bounds = np.concatenate([[0.0], zs, [tau]])

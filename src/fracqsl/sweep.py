@@ -35,8 +35,8 @@ from .errors import (
     TooFewPoints,
     UnknownFigure,
 )
-from .jcmodel import JCParams, QubitDynamics
-from .qsl import QslPoint, _extrema_times, _point_from_variation, _qsl_grid, qsl_point
+from .jcmodel import JCParams, QubitDynamics, cycle_grid
+from .qsl import QslPoint, _extrema_times, _point_from_variation, qsl_point
 
 __all__ = [
     "SweepSpec",
@@ -161,7 +161,6 @@ class SweepSpec:
             "output": self.output,
             "version": VERSION,
             "config": {
-                "rel_tol": cfg.rel_tol,
                 "abs_tol": cfg.abs_tol,
                 "max_terms": cfg.max_terms,
                 "quad_points": cfg.quad_points,
@@ -247,7 +246,7 @@ def _run_tau_sweep(spec: SweepSpec, meta: dict) -> list[CurveRecord]:
         engine = QubitDynamics(params, spec.quadrature)
         taus = np.unique(values[ok])
         tau_max = float(taus[-1])
-        base = _qsl_grid(engine.oscillation_rate(), 0.0, tau_max)
+        base = cycle_grid(engine.oscillation_rate(), 0.0, tau_max)
         times = np.unique(np.concatenate([base, taus]))
         rho_ee, _, rates = engine.population_sample(times)
         zs = _extrema_times(engine, times, rates)

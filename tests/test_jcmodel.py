@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fracqsl.config import EvalConfig
 from fracqsl.errors import (
     DegenerateState,
-    DetuningUnsupported,
     GridTooCoarse,
     InvalidOrder,
     InvalidParams,
@@ -77,12 +76,6 @@ class TestHamiltonian:
         assert h[1, 0] == pytest.approx(g)
         assert h[0, 0] == 0 and h[1, 1] == 0
 
-    def test_detuned_phases(self):
-        h = interaction_hamiltonian(0.3, 2, delta=1.2, t=0.7)
-        g = 0.3 * math.sqrt(3.0)
-        assert h[0, 1] == pytest.approx(g * np.exp(-1j * 1.2 * 0.7))
-        assert h[1, 0] == pytest.approx(np.conj(h[0, 1]))
-
     def test_validation(self):
         with pytest.raises(InvalidParams):
             interaction_hamiltonian(2.0, 1)
@@ -145,11 +138,6 @@ class TestEvolve:
         rho = reduced_density(amps)
         assert amps.c_e.real == pytest.approx(-0.659754120370861, abs=1e-12)
         assert rho.p_excited == pytest.approx(0.43527549934632853, abs=1e-12)
-
-    def test_detuning_rejected(self):
-        p = JCParams(beta=0.5, lam=0.5, n=2, delta=0.3)
-        with pytest.raises(DetuningUnsupported):
-            evolve(p, 1.0)
 
     def test_negative_time_rejected(self):
         p = JCParams(beta=0.5, lam=0.5, n=2)

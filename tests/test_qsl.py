@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracqsl.errors import InvalidParams, NotPure
-from fracqsl.jcmodel import JCParams, make_trajectory, reduced_density, evolve
+from fracqsl.jcmodel import JCParams, QubitDynamics, make_trajectory, reduced_density, evolve
 from fracqsl.qsl import (
     MLMTResult,
     QslPoint,
@@ -43,11 +43,15 @@ class TestSchattenNorm:
             assert schatten_norm(m, "tr") == pytest.approx(float(np.sum(s)), rel=1e-12)
 
     def test_diagonal_rate_matrix(self):
-        r = -0.37
-        m = np.diag([-r, r])
-        assert schatten_norm(m, "op") == pytest.approx(abs(r), rel=1e-14)
-        assert schatten_norm(m, "hs") == pytest.approx(math.sqrt(2.0) * abs(r), rel=1e-14)
-        assert schatten_norm(m, "tr") == pytest.approx(2.0 * abs(r), rel=1e-14)
+        # The bound routines rely on these closed forms for diag(-r, r);
+        # include population rates of a real trajectory.
+        engine = QubitDynamics(JCParams(beta=0.5, lam=0.5, n=20))
+        sampled = engine.population_sample(np.linspace(0.0, 2.0, 9))[2][1:]
+        for r in [0.0, 1e-300, -0.37, 1e3, *sampled]:
+            m = np.diag([-r, r])
+            assert schatten_norm(m, "op") == pytest.approx(abs(r), rel=1e-14)
+            assert schatten_norm(m, "hs") == pytest.approx(math.sqrt(2.0) * abs(r), rel=1e-14)
+            assert schatten_norm(m, "tr") == pytest.approx(2.0 * abs(r), rel=1e-14)
 
     def test_ordering(self):
         rng = np.random.default_rng(13)
@@ -181,6 +185,25 @@ class TestGeometricBound:
         assert 0.0 <= pt.ratio_op <= 1.0 + 1e-9
         assert pt.lambda_op <= pt.lambda_hs <= pt.lambda_tr
         assert pt.ratio_max == pt.ratio_op
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        beta=st.floats(0.2, 1.0),
+        lam=st.floats(0.05, 1.0),
+        n=st.integers(0, 40),
+        tau=st.floats(0.2, 2.0),
+    )
+    def test_coupling_time_scale_invariance(self, beta, lam, n, tau):
+        # The coupling enters only through g**(1/beta) * t, so the point at
+        # coupling g equals the unit-coupling point at the rescaled time.
+        assume(abs(beta - 2.0 / 3.0) >= 0.005)
+        scale = (lam * math.sqrt(n + 1.0)) ** (1.0 / beta)
+        assume(scale * tau <= 400.0)
+        pt = qsl_point(JCParams(beta=beta, lam=lam, n=n), tau)
+        unit = qsl_point(JCParams(beta=beta, lam=1.0, n=0), scale * tau)
+        assert 0.0 <= pt.ratio_op <= 1.0
+        assert pt.ratio_op == pytest.approx(unit.ratio_op, rel=0.0, abs=1e-10)
+        assert pt.lambda_op == pytest.approx(scale * unit.lambda_op, rel=1e-10, abs=0.0)
 
 
 class TestTrajectoryBound:
