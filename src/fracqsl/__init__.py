@@ -11,7 +11,6 @@ machine-readable tables.  ``cli`` exposes the same layers as the
 
 from ._version import VERSION as __version__
 from .caputo import SampledSignal, caputo_derivative, caputo_derivative_all, tfse_residual
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     BranchDomain,
     DegenerateState,
@@ -76,10 +75,8 @@ __all__ = [
     "CSV_COLUMNS",
     "CompositeAmplitudes",
     "CurveRecord",
-    "DEFAULT_CONFIG",
     "DegenerateState",
     "DensityMatrix2",
-    "EvalConfig",
     "FracQslError",
     "GridTooCoarse",
     "InvalidOrder",

@@ -145,24 +145,17 @@ def caputo_derivative_all(signal: SampledSignal, beta: float) -> np.ndarray:
     return out
 
 
-def tfse_residual(
-    beta: float,
-    hamiltonian: np.ndarray,
-    trajectory,
-    skip_initial: float = 0.05,
-) -> float:
+def tfse_residual(beta: float, hamiltonian: np.ndarray, trajectory) -> float:
     """Largest nodewise defect of (i)**beta * D^beta psi - H psi.
 
     ``trajectory`` is any object carrying a time grid and per-node state
     vectors (attributes ``times``/``states``, or a ``SampledSignal``).
-    The first ``skip_initial`` fraction of the span is excluded: the L1
-    history starts from a single interval there, so its truncation error
-    is dominated by startup rather than by the trajectory being tested.
+    The first 5 % of the span is excluded: the L1 history starts from a
+    single interval there, so its truncation error is dominated by
+    startup rather than by the trajectory being tested.
     At beta = 1 the defect uses central differences instead.
     """
     _check_beta(beta)
-    if not (0.0 <= skip_initial < 1.0):
-        raise InvalidParams(f"skip_initial must lie in [0, 1), got {skip_initial!r}")
     if hasattr(trajectory, "states"):
         times = np.asarray(trajectory.times, dtype=float)
         states = np.asarray(trajectory.states, dtype=complex)
@@ -178,7 +171,7 @@ def tfse_residual(
         raise GridTooCoarse("residual check needs at least 5 nodes")
 
     rhs = states @ ham.T
-    t_min = times[0] + skip_initial * (times[-1] - times[0])
+    t_min = times[0] + 0.05 * (times[-1] - times[0])
 
     if beta == 1.0:
         h_fwd = times[2:] - times[1:-1]
@@ -191,7 +184,7 @@ def tfse_residual(
         defect = 1j * dpsi - rhs[1:-1]
         mask = times[1:-1] >= t_min
         if not np.any(mask):
-            raise GridTooCoarse("skip_initial leaves no interior nodes to check")
+            raise GridTooCoarse("no interior node past the first 5 % of the span to check")
         return float(np.linalg.norm(defect[mask], axis=1).max())
 
     phase = (1j) ** beta
@@ -208,5 +201,5 @@ def tfse_residual(
         )
         mask = times[idxs] >= t_min
     if not np.any(mask):
-        raise GridTooCoarse("skip_initial leaves no interior nodes to check")
+        raise GridTooCoarse("no interior node past the first 5 % of the span to check")
     return float(np.linalg.norm(defect[mask], axis=1).max())

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     DegenerateState,
     GridTooCoarse,
@@ -231,13 +230,12 @@ class QubitDynamics:
     across all requested quantities.
     """
 
-    def __init__(self, params: JCParams, cfg: EvalConfig = DEFAULT_CONFIG) -> None:
+    def __init__(self, params: JCParams) -> None:
         if params.b == 0.0:
             raise DegenerateState(
                 "b = 0 gives identically vanishing amplitudes; no state to track"
             )
         self.params = params
-        self.cfg = cfg
         g = params.coupling
         rot = (-1j) ** params.beta
         self._c_plus = g * rot
@@ -253,9 +251,7 @@ class QubitDynamics:
     def eigenfactors(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """E_beta(c * t**beta) for c = +g*(-i)**beta and -g*(-i)**beta."""
         beta = self.params.beta
-        rows = ml_linear_batch(
-            beta, [(self._c_plus, 1.0), (self._c_minus, 1.0)], times, self.cfg
-        )
+        rows = ml_linear_batch(beta, [(self._c_plus, 1.0), (self._c_minus, 1.0)], times)
         return rows[0], rows[1]
 
     def amplitudes(self, times: np.ndarray) -> np.ndarray:
@@ -299,7 +295,6 @@ class QubitDynamics:
                 (self._c_minus, beta),
             ],
             times,
-            self.cfg,
         )
         e2, e1, f2, f1 = rows
         a, b = self.params.a, self.params.b
@@ -330,9 +325,7 @@ class QubitDynamics:
         return u, v, norm
 
 
-def evolve(
-    params: JCParams, tau: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> CompositeAmplitudes:
+def evolve(params: JCParams, tau: float) -> CompositeAmplitudes:
     """Amplitudes at time tau from the two eigenfactor values.
 
     Scalar route: each eigenfactor is an independent ``ml_global`` call,
@@ -345,8 +338,8 @@ def evolve(
     rot = (-1j) ** beta
     order = MLOrder(beta)
     zp = g * rot * tau**beta
-    e2 = ml_global(order, zp, cfg)
-    e1 = ml_global(order, -zp, cfg)
+    e2 = ml_global(order, zp)
+    e1 = ml_global(order, -zp)
     a, b = params.a, params.b
     return CompositeAmplitudes(c_g=a * b * (e2 - e1), c_e=b * b * (e2 + e1))
 
@@ -365,7 +358,6 @@ def density_derivative(
     params: JCParams,
     t: float,
     method: str = "analytic",
-    cfg: EvalConfig = DEFAULT_CONFIG,
     step: float | None = None,
 ) -> np.ndarray:
     """Time derivative of the reduced density matrix at t > 0.
@@ -377,7 +369,7 @@ def density_derivative(
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
         raise InvalidParams(f"t must be positive, got {t!r}")
-    engine = QubitDynamics(params, cfg)
+    engine = QubitDynamics(params)
     if method == "analytic":
         rate = float(engine.population_rate(np.array([t]))[0])
     elif method == "finite_difference":
@@ -405,15 +397,21 @@ def cycle_grid(
 ) -> np.ndarray:
     """Sampling grid on [t_start, t_end] for a population cycling at rate omega.
 
-    By default the node count is 2.55 per radian of the cycle, clamped
-    to [600, 60000], so that every extremum of the population is
-    bracketed.  A window starting at 0 gets a geometric head that
-    resolves the t**(2*beta) short-time layer a uniform grid would step
-    over.
+    By default the node count is 2.55 per radian of the cycle, at least
+    600, so that every extremum of the population is bracketed; a window
+    that would need more than 60000 nodes raises GridTooCoarse rather
+    than alias its extrema.  A window starting at 0 gets a geometric
+    head that resolves the t**(2*beta) short-time layer a uniform grid
+    would step over.
     """
     if count is None:
         wanted = math.ceil(_NODES_PER_RADIAN * omega * (t_end - t_start))
-        count = min(max(wanted, _MIN_GRID), _MAX_GRID)
+        if wanted > _MAX_GRID:
+            raise GridTooCoarse(
+                f"window of {omega * (t_end - t_start):.4g} rad needs {wanted} grid "
+                f"nodes, above the {_MAX_GRID}-node cap"
+            )
+        count = max(wanted, _MIN_GRID)
     body = np.linspace(t_start, t_end, count)
     if t_start > 0.0:
         return body
@@ -429,7 +427,6 @@ def make_trajectory(
     params: JCParams,
     t_end: float,
     num_points: int | None = None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
     """Sample amplitudes and populations on [0, t_end].
 
@@ -438,7 +435,7 @@ def make_trajectory(
     """
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
         raise InvalidParams(f"t_end must be positive, got {t_end!r}")
-    engine = QubitDynamics(params, cfg)
+    engine = QubitDynamics(params)
     if num_points is not None:
         if num_points < 16:
             raise GridTooCoarse(f"trajectory needs at least 16 points, got {num_points}")

@@ -30,7 +30,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import rgamma
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     BranchDomain,
     InvalidOrder,
@@ -65,8 +64,13 @@ _MIN_ROOT_ANGLE = 5e-3
 _BATCH_CONTOUR_ANGLE = 2e-2
 # Root angles below this get extra zoom panels around |c| in the mesh.
 _ZOOM_ANGLE = 0.45
-
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Series term budget before NonConvergence is raised.
+_MAX_TERMS = 600
+# Safety cap on the radial variable of the cut integral, on top of the
+# decay-budget bound.
+_QUAD_CUTOFF = 1e8
+# Gauss-Legendre rule of every cut-mesh panel.
+_GAUSS_X, _GAUSS_W = leggauss(15)
 
 
 @dataclass(frozen=True)
@@ -106,13 +110,13 @@ def _ensure_value(val: complex, context: str) -> complex:
     return val
 
 
-def ml_series(order: MLOrder, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def ml_series(order: MLOrder, z: complex) -> complex:
     """Taylor series sum_j z**j / Gamma(beta*j + gamma).
 
     Compensated (Neumaier) summation; reciprocal-gamma term evaluation
     underflows to zero for huge denominators instead of overflowing.
     Intended for |z| <= series_radius(beta); larger arguments either lose
-    accuracy to cancellation or fail to converge within ``cfg.max_terms``.
+    accuracy to cancellation or fail to converge within 600 terms.
     """
     z = _check_finite(z)
     beta, gamma = order.beta, order.gamma
@@ -120,7 +124,7 @@ def ml_series(order: MLOrder, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> c
     comp = 0.0 + 0.0j
     zp = 1.0 + 0.0j
     small_run = 0
-    for j in range(cfg.max_terms):
+    for j in range(_MAX_TERMS):
         term = zp * complex(rgamma(beta * j + gamma))
         # Neumaier update keeps the rounding error of the running sum.
         y = term - comp
@@ -132,23 +136,15 @@ def ml_series(order: MLOrder, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> c
             raise NonConvergence(
                 f"series terms exceed double range for |z|={abs(z):.3g}, beta={beta}"
             )
-        if abs(term) <= 1e-16 * (1.0 + abs(total)) + 0.01 * cfg.abs_tol:
+        if abs(term) <= 1e-16 * (1.0 + abs(total)) + 1e-14:
             small_run += 1
             if small_run >= 3:
                 return _ensure_value(total, "ml_series")
         else:
             small_run = 0
     raise NonConvergence(
-        f"series did not converge in {cfg.max_terms} terms for |z|={abs(z):.3g}"
+        f"series did not converge in {_MAX_TERMS} terms for |z|={abs(z):.3g}"
     )
-
-
-def _gauss_rule(per: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _LEGGAUSS_CACHE.get(per)
-    if rule is None:
-        rule = leggauss(per)
-        _LEGGAUSS_CACHE[per] = rule
-    return rule
 
 
 def _cut_roots(beta: float, c: complex) -> tuple[complex, complex]:
@@ -170,7 +166,6 @@ def _cut_mesh(
     t_lo: float,
     t_hi: float,
     cs: Sequence[complex],
-    cfg: EvalConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre mesh in x = r**beta for the branch-cut integral.
 
@@ -183,7 +178,7 @@ def _cut_mesh(
     """
     if not (0.0 < t_lo <= t_hi):
         raise InvalidParams("cut mesh needs 0 < t_lo <= t_hi")
-    r_hi = min(_EFOLDS / t_lo, cfg.quad_cutoff)
+    r_hi = min(_EFOLDS / t_lo, _QUAD_CUTOFF)
     x_hi = r_hi**beta
     x_break = min((1.0 / t_hi) ** beta, x_hi)
     x_lo = 1e-18
@@ -213,11 +208,10 @@ def _cut_mesh(
     all_edges = np.unique(np.concatenate(edge_arr))
     all_edges = all_edges[(all_edges >= x_lo) & (all_edges <= max(x_hi, x_lo * 2))]
 
-    xg, wg = _gauss_rule(cfg.quad_points)
     a = all_edges[:-1]
     b = all_edges[1:]
-    xm = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xg[None, :]).ravel()
-    wm = (0.5 * (b - a)[:, None] * wg[None, :]).ravel()
+    xm = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GAUSS_X[None, :]).ravel()
+    wm = (0.5 * (b - a)[:, None] * _GAUSS_W[None, :]).ravel()
     return xm, wm, xm ** (1.0 / beta)
 
 
@@ -282,7 +276,7 @@ def _ml_contour(beta: float, gamma: float, z: complex) -> complex:
     return _ensure_value(total, "contour inversion")
 
 
-def ml_global(order: MLOrder, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def ml_global(order: MLOrder, z: complex) -> complex:
     """Uniformly valid evaluation of E_{beta,gamma}(z).
 
     Dispatch: exact exponential for (1, 1); Taylor series inside
@@ -299,13 +293,11 @@ def ml_global(order: MLOrder, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> c
             raise NonConvergence("exp overflow: Re z too large")
         return cmath.exp(z)
     if abs(z) <= series_radius(beta):
-        return ml_series(order, z, cfg)
+        return ml_series(order, z)
     return _ml_contour(beta, gamma, z)
 
 
-def _split_parts(
-    beta: float, alpha: float, t: float, cfg: EvalConfig
-) -> tuple[complex, complex]:
+def _split_parts(beta: float, alpha: float, t: float) -> tuple[complex, complex]:
     """Oscillation and decay parts of E_beta(alpha * (-i*t)**beta).
 
     Returns (residue_term, cut_term); their sum is the function value.
@@ -327,15 +319,13 @@ def _split_parts(
         )
     pole, pref = _residue_factor(beta, 1.0, c)
     osc = cmath.exp(pole * t) * pref
-    xm, wm, y = _cut_mesh(beta, t, t, [c], cfg)
+    xm, wm, y = _cut_mesh(beta, t, t, [c])
     w = _cut_weight_vector(beta, 1.0, c, xm, wm)
     cut = complex(np.exp(-y * t) @ w)
     return osc, cut
 
 
-def ml_split(
-    beta: float, alpha: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> complex:
+def ml_split(beta: float, alpha: float, t: float) -> complex:
     """Residue-plus-cut evaluation of E_beta(alpha * (-i*t)**beta).
 
     ``alpha`` is a real eigenvalue; the argument of the Mittag-Leffler
@@ -354,13 +344,11 @@ def ml_split(
         raise InvalidParams(f"t must be positive, got {t!r}")
     if beta == 1.0:
         return cmath.exp(-1j * alpha * t)
-    osc, cut = _split_parts(beta, alpha, t, cfg)
+    osc, cut = _split_parts(beta, alpha, t)
     return _ensure_value(osc + cut, "ml_split")
 
 
-def ml_time_derivative(
-    beta: float, c: complex, t: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> complex:
+def ml_time_derivative(beta: float, c: complex, t: float) -> complex:
     """d/dt E_beta(c * t**beta) = c * t**(beta-1) * E_{beta,beta}(c * t**beta).
 
     For beta < 1 the magnitude diverges as t -> 0+; that is the correct
@@ -373,18 +361,16 @@ def ml_time_derivative(
     c = _check_finite(c, "coefficient")
     if c == 0:
         return 0.0 + 0.0j
-    val = ml_global(MLOrder(beta, beta), c * t**beta, cfg)
+    val = ml_global(MLOrder(beta, beta), c * t**beta)
     return _ensure_value(c * t ** (beta - 1.0) * val, "ml_time_derivative")
 
 
-def _series_coefficients(
-    beta: float, gamma: float, z_max: float, cfg: EvalConfig
-) -> np.ndarray:
+def _series_coefficients(beta: float, gamma: float, z_max: float) -> np.ndarray:
     """Taylor coefficients rgamma(beta*j + gamma) truncated for |z| <= z_max."""
     coeffs = []
     zp = 1.0
     small_run = 0
-    for j in range(cfg.max_terms):
+    for j in range(_MAX_TERMS):
         a_j = float(rgamma(beta * j + gamma))
         coeffs.append(a_j)
         bound = abs(a_j) * zp
@@ -397,9 +383,7 @@ def _series_coefficients(
                 return np.asarray(coeffs)
         else:
             small_run = 0
-    raise NonConvergence(
-        f"batch series truncation not reached in {cfg.max_terms} terms"
-    )
+    raise NonConvergence(f"batch series truncation not reached in {_MAX_TERMS} terms")
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -414,7 +398,6 @@ def ml_linear_batch(
     beta: float,
     pairs: Sequence[tuple[complex, float]],
     ts: np.ndarray,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """E_{beta,gamma}(c * t**beta) for each (c, gamma) pair over a time grid.
 
@@ -444,7 +427,7 @@ def ml_linear_batch(
             if gamma == 1.0:
                 out[i] = np.exp(np.asarray(c) * ts)
             else:
-                out[i] = [ml_global(order, c * t, cfg) for t in ts]
+                out[i] = [ml_global(order, c * t) for t in ts]
         _ensure_batch(out)
         return out
 
@@ -460,7 +443,7 @@ def ml_linear_batch(
 
     for i, (c, gamma) in enumerate(pairs):
         if np.any(series_mask):
-            coeffs = _series_coefficients(beta, gamma, radius, cfg)
+            coeffs = _series_coefficients(beta, gamma, radius)
             out[i, series_mask] = _horner(coeffs, c * tb[series_mask])
 
     if np.any(mesh_mask):
@@ -476,7 +459,7 @@ def ml_linear_batch(
                 mesh_pairs.append((i, c, gamma))
         if mesh_pairs:
             cs = [c for _, c, _ in mesh_pairs if c != 0]
-            xm, wm, y = _cut_mesh(beta, t_lo, t_hi, cs, cfg)
+            xm, wm, y = _cut_mesh(beta, t_lo, t_hi, cs)
             weight_mat = np.stack(
                 [
                     _cut_weight_vector(beta, gamma, c, xm, wm)

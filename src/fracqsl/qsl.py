@@ -29,7 +29,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import InvalidParams, NotPure
 from .jcmodel import JCParams, QubitDynamics, Trajectory, cycle_grid
 from .mlfun import MLOrder, ml_global
@@ -46,6 +45,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# Gauss-Legendre points per panel of the closed-form route's |rate|
+# integral; a choice of its own, not the cut-mesh rule of ``mlfun``.
+_PANEL_POINTS = 15
 
 
 @dataclass(frozen=True)
@@ -112,24 +114,29 @@ def schatten_norm(matrix: np.ndarray, kind: str) -> float:
     """Schatten norm of a 2x2 matrix: 'tr', 'hs', or 'op'.
 
     Uses the closed-form singular values of the 2x2 Gram matrix, so no
-    iterative factorization is involved.
+    iterative factorization is involved.  The entries are divided by the
+    largest magnitude first, so the squares neither underflow nor overflow.
     """
+    if kind not in ("tr", "hs", "op"):
+        raise InvalidParams(f"unknown norm kind {kind!r}")
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise InvalidParams(f"matrix must be 2x2, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise InvalidParams("matrix entries must be finite")
+    scale = float(np.abs(m).max())
+    if scale == 0.0:
+        return 0.0
+    m = m / scale
     tr_gram = float(np.sum(np.abs(m) ** 2))
     abs_det = abs(complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
     if kind == "hs":
-        return math.sqrt(tr_gram)
+        return scale * math.sqrt(tr_gram)
     if kind == "tr":
-        return math.sqrt(max(tr_gram + 2.0 * abs_det, 0.0))
-    if kind == "op":
-        # Largest singular value from the Gram eigenvalues.
-        disc = max(tr_gram * tr_gram - 4.0 * abs_det * abs_det, 0.0)
-        return math.sqrt(0.5 * (tr_gram + math.sqrt(disc)))
-    raise InvalidParams(f"unknown norm kind {kind!r}")
+        return scale * math.sqrt(max(tr_gram + 2.0 * abs_det, 0.0))
+    # Largest singular value from the Gram eigenvalues.
+    disc = max(tr_gram * tr_gram - 4.0 * abs_det * abs_det, 0.0)
+    return scale * math.sqrt(0.5 * (tr_gram + math.sqrt(disc)))
 
 
 def bures_overlap_term(rho0: np.ndarray, rho_tau: np.ndarray) -> float:
@@ -266,13 +273,11 @@ def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
     )
 
 
-def qsl_point(
-    params: JCParams, tau: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> QslPoint:
+def qsl_point(params: JCParams, tau: float) -> QslPoint:
     """Speed-limit ratios for the dynamics run up to time tau."""
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
         raise InvalidParams(f"tau must be positive, got {tau!r}")
-    engine = QubitDynamics(params, cfg)
+    engine = QubitDynamics(params)
     times = cycle_grid(engine.oscillation_rate(), 0.0, float(tau))
     rho_ee, _, rates = engine.population_sample(times)
     tv, _ = _total_variation(engine, times, rho_ee, rates)
@@ -280,21 +285,9 @@ def qsl_point(
     return _point_from_variation(float(tau), sin2, tv)
 
 
-def qsl_ml(
-    trajectory: Trajectory,
-    rule: str = "op_only",
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> QslPoint:
-    """Speed-limit ratios from a precomputed trajectory.
-
-    ``rule`` names how the reported best ratio is formed: ``op_only``
-    reuses the operator-norm ratio, ``max_of_three`` maximizes over the
-    three norms.  The norm ordering makes the operator-norm ratio the
-    largest, so both rules give the same point.
-    """
-    if rule not in ("op_only", "max_of_three"):
-        raise InvalidParams(f"unknown rule {rule!r}")
-    engine = QubitDynamics(trajectory.params, cfg)
+def qsl_ml(trajectory: Trajectory) -> QslPoint:
+    """Speed-limit ratios from a precomputed trajectory."""
+    engine = QubitDynamics(trajectory.params)
     times = trajectory.times
     tau = float(times[-1])
     rho_ee = trajectory.rho_ee
@@ -307,7 +300,6 @@ def qsl_mlmt(
     chi_traj: Trajectory,
     tau: float,
     tau_d: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> MLMTResult:
     """Window bound from the relative purity drop across [tau, tau+tau_d].
 
@@ -326,7 +318,7 @@ def qsl_mlmt(
         raise InvalidParams(
             f"window [{tau}, {tau + tau_d}] exceeds the trajectory horizon {horizon}"
         )
-    engine = QubitDynamics(chi_traj.params, cfg)
+    engine = QubitDynamics(chi_traj.params)
     t0, t1 = float(tau), float(tau + tau_d)
     ends = np.array([t0, t1])
     rho_e, rho_g, _ = engine.population_sample(ends)
@@ -354,9 +346,7 @@ def qsl_mlmt(
     )
 
 
-def qsl_ratio_formula(
-    params: JCParams, tau: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     """Operator-norm bound ratio through the closed-form route.
 
     Numerator: with P = |E2|^2 + |E1|^2 and R = 2 Re(E2 conj(E1)) from
@@ -372,7 +362,7 @@ def qsl_ratio_formula(
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
         raise InvalidParams(f"tau must be positive, got {tau!r}")
     tau = float(tau)
-    engine = QubitDynamics(params, cfg)
+    engine = QubitDynamics(params)
     beta = params.beta
     g = params.coupling
     a, b = params.a, params.b
@@ -381,8 +371,8 @@ def qsl_ratio_formula(
 
     order = MLOrder(beta)
     rot = (-1j) ** beta
-    e2 = ml_global(order, g * rot * tau**beta, cfg)
-    e1 = ml_global(order, -g * rot * tau**beta, cfg)
+    e2 = ml_global(order, g * rot * tau**beta)
+    e1 = ml_global(order, -g * rot * tau**beta)
     p_sum = abs(e2) ** 2 + abs(e1) ** 2
     r_cross = 2.0 * float(np.real(e2 * np.conj(e1)))
     numer = a**2 * (p_sum - r_cross) / (
@@ -409,7 +399,7 @@ def qsl_ratio_formula(
     for seg in range(1, bounds.size - 1):
         panels.append((bounds[seg], bounds[seg + 1], seg))
 
-    xg, wg = leggauss(cfg.quad_points)
+    xg, wg = leggauss(_PANEL_POINTS)
     nodes = []
     weights = []
     for lo, hi, _ in panels:
@@ -420,9 +410,7 @@ def qsl_ratio_formula(
     all_weights = np.concatenate(weights)
     rate_vals = engine.population_rate(all_nodes)
 
-    seg_ids = np.concatenate(
-        [np.full(cfg.quad_points, sid) for _, _, sid in panels]
-    )
+    seg_ids = np.concatenate([np.full(_PANEL_POINTS, sid) for _, _, sid in panels])
     denom = sliver
     for sid in range(bounds.size - 1):
         sel = seg_ids == sid

@@ -28,7 +28,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import VERSION
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     FracQslError,
     InvalidParams,
@@ -81,7 +80,6 @@ class SweepSpec:
     axis: str
     grid: np.ndarray
     fixed: dict
-    quadrature: EvalConfig = DEFAULT_CONFIG
     output: str = "csv"
     threads: int = 1
     label: str = ""
@@ -146,7 +144,6 @@ class SweepSpec:
 
     def echo(self) -> dict:
         """JSON-ready echo of the sweep definition."""
-        cfg = self.quadrature
         fixed = {k: self.fixed[k] for k in sorted(self.fixed)}
         eigen = abs(
             self.fixed.get("a", math.sqrt(0.5)) - math.sqrt(0.5)
@@ -160,12 +157,6 @@ class SweepSpec:
             "grid_stop": float(self.grid[-1]),
             "output": self.output,
             "version": VERSION,
-            "config": {
-                "abs_tol": cfg.abs_tol,
-                "max_terms": cfg.max_terms,
-                "quad_points": cfg.quad_points,
-                "quad_cutoff": cfg.quad_cutoff,
-            },
         }
 
     def fingerprint(self) -> str:
@@ -214,7 +205,7 @@ def run_sweep(spec: SweepSpec) -> list[CurveRecord]:
 def _eval_point(spec: SweepSpec, value: float, meta: dict) -> CurveRecord:
     try:
         params, tau = spec.params_at(value)
-        point = qsl_point(params, tau, spec.quadrature)
+        point = qsl_point(params, tau)
         return CurveRecord(axis_value=value, point=point, meta=meta)
     except Exception as exc:
         return CurveRecord(
@@ -243,7 +234,7 @@ def _run_tau_sweep(spec: SweepSpec, meta: dict) -> list[CurveRecord]:
 
     try:
         params, _ = spec.params_at(float(values[np.flatnonzero(ok)[0]]))
-        engine = QubitDynamics(params, spec.quadrature)
+        engine = QubitDynamics(params)
         taus = np.unique(values[ok])
         tau_max = float(taus[-1])
         base = cycle_grid(engine.oscillation_rate(), 0.0, tau_max)
@@ -282,15 +273,13 @@ def _run_tau_sweep(spec: SweepSpec, meta: dict) -> list[CurveRecord]:
     return [r for r in records if r is not None]
 
 
-def detect_revivals(
-    curve, min_rise: float = 1e-6
-) -> tuple[int, list[tuple[float, float]]]:
+def detect_revivals(curve) -> tuple[int, list[tuple[float, float]]]:
     """Count bound-ratio revivals on a sweep curve.
 
     ``curve`` is the record list from ``run_sweep`` (the ratio_op
     column is examined, and every record must have succeeded) or a bare
     1-d series.  A revival is a strict local minimum followed by a rise
-    above ``min_rise``, measured to the highest later value before the
+    above 1e-6, measured to the highest later value before the
     next minimum.  Returns the count and the turning points as
     (axis value, rise) pairs; a monotone curve counts zero.  The count
     is only meaningful when the grid resolves the oscillation; an
@@ -323,7 +312,7 @@ def detect_revivals(
     for pos, idx in enumerate(minima):
         stop = minima[pos + 1] if pos + 1 < minima.size else vals.size
         rise = float(vals[idx:stop].max() - vals[idx])
-        if rise > min_rise:
+        if rise > 1e-6:
             turns.append((float(axis_vals[idx]), rise))
     return len(turns), turns
 

@@ -186,7 +186,7 @@ def test_criterion_08_algebraic_ratio_route():
         else:
             a = b = math.sqrt(0.5)
         params = JCParams(beta=beta, lam=lam, n=n, a=a, b=b)
-        pipeline = qsl_ml(make_trajectory(params, tau), rule="op_only")
+        pipeline = qsl_ml(make_trajectory(params, tau))
         formula = qsl_ratio_formula(params, tau)
         diff = abs(pipeline.ratio_op - formula)
         worst = max(worst, diff)

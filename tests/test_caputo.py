@@ -195,9 +195,3 @@ class TestResidual:
         sig = SampledSignal(times, np.zeros((33, 2), dtype=complex))
         with pytest.raises(InvalidParams):
             tfse_residual(0.5, np.zeros((3, 3)), sig)
-
-    def test_skip_fraction_guard(self):
-        times = np.linspace(0.0, 1.0, 33)
-        sig = SampledSignal(times, np.zeros((33, 2), dtype=complex))
-        with pytest.raises(InvalidParams):
-            tfse_residual(0.5, self.jc_hamiltonian(1.0), sig, skip_initial=1.0)

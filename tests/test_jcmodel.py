@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracqsl.config import EvalConfig
 from fracqsl.errors import (
     DegenerateState,
     GridTooCoarse,

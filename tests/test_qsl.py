@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracqsl.errors import InvalidParams, NotPure
+from fracqsl.errors import GridTooCoarse, InvalidParams, NotPure
 from fracqsl.jcmodel import JCParams, QubitDynamics, make_trajectory, reduced_density, evolve
 from fracqsl.qsl import (
     MLMTResult,
@@ -47,11 +47,15 @@ class TestSchattenNorm:
         # include population rates of a real trajectory.
         engine = QubitDynamics(JCParams(beta=0.5, lam=0.5, n=20))
         sampled = engine.population_sample(np.linspace(0.0, 2.0, 9))[2][1:]
-        for r in [0.0, 1e-300, -0.37, 1e3, *sampled]:
+        for r in [0.0, 1e-300, 1e-160, -0.37, 1e3, 1e200, *sampled]:
             m = np.diag([-r, r])
             assert schatten_norm(m, "op") == pytest.approx(abs(r), rel=1e-14)
             assert schatten_norm(m, "hs") == pytest.approx(math.sqrt(2.0) * abs(r), rel=1e-14)
             assert schatten_norm(m, "tr") == pytest.approx(2.0 * abs(r), rel=1e-14)
+        # Without the absolute floor a vanished norm cannot pass for 1e-300.
+        tiny = np.diag([-1e-300, 1e-300])
+        assert schatten_norm(tiny, "op") == pytest.approx(1e-300, rel=1e-14, abs=0.0)
+        assert schatten_norm(tiny, "tr") == pytest.approx(2e-300, rel=1e-14, abs=0.0)
 
     def test_ordering(self):
         rng = np.random.default_rng(13)
@@ -218,14 +222,8 @@ class TestTrajectoryBound:
     def test_max_rule_identifies_op(self):
         p = JCParams(beta=0.8, lam=0.6, n=10)
         traj = make_trajectory(p, 2.0)
-        pt = qsl_ml(traj, rule="max_of_three")
+        pt = qsl_ml(traj)
         assert pt.ratio_max == pt.ratio_op
-
-    def test_unknown_rule(self):
-        p = JCParams(beta=0.8, lam=0.6, n=10)
-        traj = make_trajectory(p, 1.0)
-        with pytest.raises(InvalidParams):
-            qsl_ml(traj, rule="median")
 
 
 class TestWindowBound:
@@ -309,3 +307,14 @@ class TestGridStability:
             coarse = qsl_ml(make_trajectory(params, tau, num_points=base_n))
             dense = qsl_ml(make_trajectory(params, tau, num_points=2 * base_n))
             assert abs(coarse.ratio_op - dense.ratio_op) < 1e-10
+
+    def test_grid_cap_raises(self):
+        # g**(1/beta) * tau ~ 4.3e5 rad needs ~1.1e6 nodes to bracket every
+        # extremum; a clamped grid used to alias them without a signal.
+        p = JCParams(beta=0.1, lam=0.8, n=20)
+        with pytest.raises(GridTooCoarse):
+            qsl_point(p, 1.0)
+        with pytest.raises(GridTooCoarse):
+            qsl_ratio_formula(p, 1.0)
+        with pytest.raises(GridTooCoarse):
+            make_trajectory(p, 1.0)

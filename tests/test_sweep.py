@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracqsl.errors import InvalidParams, TooFewPoints, UnknownFigure
 from fracqsl.jcmodel import JCParams
@@ -121,6 +123,41 @@ class TestRunSweep:
             assert rec.point.lambda_op == pytest.approx(direct.lambda_op, abs=1e-10)
             assert rec.point.ratio_op == pytest.approx(direct.ratio_op, abs=1e-10)
             assert rec.point.sin2_bures == pytest.approx(direct.sin2_bures, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.2, 1.0),
+        lam=st.floats(0.05, 1.0),
+        n=st.integers(0, 40),
+        taus=st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4, unique=True),
+        a=st.one_of(st.none(), st.floats(0.35, 0.93)),
+    )
+    def test_tau_sweep_matches_pointwise_property(self, beta, lam, n, taus, a):
+        # Criterion 08's domain, non-eigen weights included.
+        assume(abs(beta - 2.0 / 3.0) >= 0.005)
+        taus = sorted(taus)
+        assume((lam * math.sqrt(n + 1.0)) ** (1.0 / beta) * taus[-1] <= 400.0)
+        fixed = {"beta": beta, "lam": lam, "n": n}
+        if a is not None:
+            fixed.update(a=a, b=math.sqrt(1.0 - a * a))
+        spec = SweepSpec(axis="tau", grid=np.array(taus), fixed=fixed)
+        for rec in run_sweep(spec):
+            params, tau = spec.params_at(rec.axis_value)
+            direct = qsl_point(params, tau)
+            assert rec.point.ratio_op == pytest.approx(direct.ratio_op, rel=0.0, abs=1e-10)
+            assert rec.point.lambda_op == pytest.approx(direct.lambda_op, rel=1e-10, abs=0.0)
+
+    def test_grid_cap_fails_the_point(self):
+        # 2.55 nodes/rad over g**(1/beta) * tau ~ 4.3e5 rad is far above 60000.
+        spec = SweepSpec(
+            axis="lambda",
+            grid=np.array([0.1, 0.8]),
+            fixed={"beta": 0.1, "n": 20, "tau": 1.0},
+        )
+        low, high = run_sweep(spec)
+        assert low.error is None
+        assert high.point is None
+        assert high.error.startswith("GridTooCoarse:")
 
     def test_tau_grid_with_invalid_entries_keeps_good_points(self):
         spec = small_tau_spec(grid=np.array([-1.0, 0.5, 1.0]))
