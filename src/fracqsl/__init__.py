@@ -52,6 +52,7 @@ from .qsl import (
     MLMTResult,
     QslPoint,
     bures_overlap_term,
+    qsl_curve,
     qsl_ml,
     qsl_mlmt,
     qsl_point,
@@ -110,6 +111,7 @@ __all__ = [
     "ml_series",
     "ml_split",
     "ml_time_derivative",
+    "qsl_curve",
     "qsl_ml",
     "qsl_mlmt",
     "qsl_point",

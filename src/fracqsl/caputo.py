@@ -174,13 +174,7 @@ def tfse_residual(beta: float, hamiltonian: np.ndarray, trajectory) -> float:
     t_min = times[0] + 0.05 * (times[-1] - times[0])
 
     if beta == 1.0:
-        h_fwd = times[2:] - times[1:-1]
-        h_bwd = times[1:-1] - times[:-2]
-        if not np.allclose(h_fwd, h_bwd, rtol=1e-9):
-            # Central difference of second order needs locally even spacing.
-            dpsi = (states[2:] - states[:-2]) / (h_fwd + h_bwd)[:, None]
-        else:
-            dpsi = (states[2:] - states[:-2]) / (2.0 * h_fwd)[:, None]
+        dpsi = (states[2:] - states[:-2]) / (times[2:] - times[:-2])[:, None]
         defect = 1j * dpsi - rhs[1:-1]
         mask = times[1:-1] >= t_min
         if not np.any(mask):

@@ -24,7 +24,7 @@ import numpy as np
 from ._version import VERSION
 from .caputo import SampledSignal, tfse_residual
 from .errors import FracQslError, InvalidParams
-from .jcmodel import JCParams, QubitDynamics, interaction_hamiltonian, make_trajectory
+from .jcmodel import JCParams, QubitDynamics, interaction_hamiltonian
 from .mlfun import MLOrder, ml_global
 from .qsl import qsl_mlmt, qsl_point
 from .sweep import SweepSpec, run_figure, run_sweep, records_to_csv, records_to_json
@@ -141,8 +141,7 @@ def _cmd_qsl(args) -> int:
         "ratio_max": point.ratio_max,
     }
     if args.tau_d is not None:
-        traj = make_trajectory(params, args.tau + args.tau_d)
-        window = qsl_mlmt(traj, args.tau, args.tau_d)
+        window = qsl_mlmt(params, args.tau, args.tau_d)
         doc["window"] = {
             "tau_qsl": window.tau_qsl,
             "relative_purity": window.relative_purity,
@@ -170,7 +169,6 @@ def _cmd_sweep(args) -> int:
         axis=args.axis,
         grid=_parse_grid(args.grid),
         fixed=fixed,
-        output=args.format,
         threads=_resolve_threads(args.threads),
     )
     records = run_sweep(spec)

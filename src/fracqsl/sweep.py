@@ -4,13 +4,13 @@ A sweep varies one axis (tau, lambda, n, or beta) while the remaining
 model parameters stay fixed.  Results are plain records that serialize
 to CSV or JSON with repr-exact floats, so rerunning a sweep with the
 same inputs reproduces the output byte for byte regardless of the
-thread count.
+thread count: each group's arithmetic is independent.
 
-Sweeps along tau share one dynamics pass: the population extrema on
-[0, tau_max] are located once, their cumulative variation is tabulated,
-and each requested tau is answered by a lookup plus one endpoint term.
-Other axes evaluate points independently, optionally across a thread
-pool; a failing point is recorded as data instead of aborting the run.
+Grid values that share their model parameters form one group, answered
+by one ``qsl_curve`` pass: a tau sweep is a single group, and every value
+of another axis is a group of its own.  Groups run optionally across a
+thread pool; a failing point is recorded as data instead of aborting
+the run.
 """
 
 from __future__ import annotations
@@ -28,14 +28,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import VERSION
-from .errors import (
-    FracQslError,
-    InvalidParams,
-    TooFewPoints,
-    UnknownFigure,
-)
-from .jcmodel import JCParams, QubitDynamics, cycle_grid
-from .qsl import QslPoint, _extrema_times, _point_from_variation, qsl_point
+from .errors import InvalidParams, TooFewPoints, UnknownFigure
+from .jcmodel import JCParams
+from .qsl import QslPoint, qsl_curve
 
 __all__ = [
     "SweepSpec",
@@ -80,7 +75,6 @@ class SweepSpec:
     axis: str
     grid: np.ndarray
     fixed: dict
-    output: str = "csv"
     threads: int = 1
     label: str = ""
 
@@ -101,8 +95,6 @@ class SweepSpec:
             raise InvalidParams("grid values must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise InvalidParams("grid must be strictly increasing")
-        if self.output not in ("csv", "json"):
-            raise InvalidParams(f"output must be csv or json, got {self.output!r}")
         if not isinstance(self.threads, int) or self.threads < 1:
             raise InvalidParams(f"threads must be a positive integer, got {self.threads!r}")
         if not isinstance(self.fixed, dict):
@@ -129,16 +121,15 @@ class SweepSpec:
             if key in self.fixed:
                 kw[key] = self.fixed[key]
         varied = _AXIS_PARAM[self.axis]
-        if varied == "tau":
-            tau = float(value)
-        else:
-            tau = float(self.fixed["tau"])
-            if varied == "n":
-                if float(value) != int(value):
-                    raise InvalidParams(f"n must be integer-valued, got {value!r}")
-                kw["n"] = int(value)
-            else:
-                kw[varied] = float(value)
+        tau = float(value if varied == "tau" else self.fixed["tau"])
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise InvalidParams(f"tau must be positive, got {tau!r}")
+        if varied == "n":
+            if float(value) != int(value):
+                raise InvalidParams(f"n must be integer-valued, got {value!r}")
+            kw["n"] = int(value)
+        elif varied != "tau":
+            kw[varied] = float(value)
         kw["n"] = int(kw["n"])
         return JCParams(**kw), tau
 
@@ -155,7 +146,6 @@ class SweepSpec:
             "points": int(self.grid.size),
             "grid_start": float(self.grid[0]),
             "grid_stop": float(self.grid[-1]),
-            "output": self.output,
             "version": VERSION,
         }
 
@@ -188,89 +178,49 @@ def _error_text(exc: Exception) -> str:
 
 
 def run_sweep(spec: SweepSpec) -> list[CurveRecord]:
-    """Evaluate the sweep, one record per grid value, in grid order."""
+    """Evaluate the sweep, one record per grid value, in grid order.
+
+    Grid values with the same model parameters (every value of a tau
+    sweep) form one group, answered by one ``qsl_curve`` pass.  A value
+    whose parameters are invalid fails alone; a group that raises fails
+    its own values only.
+    """
     meta = spec.echo()
     meta["config_hash"] = spec.fingerprint()
-    if spec.axis == "tau":
-        return _run_tau_sweep(spec, meta)
-    if spec.threads > 1 and spec.grid.size > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            futures = [
-                pool.submit(_eval_point, spec, float(v), meta) for v in spec.grid
-            ]
-            return [f.result() for f in futures]
-    return [_eval_point(spec, float(v), meta) for v in spec.grid]
-
-
-def _eval_point(spec: SweepSpec, value: float, meta: dict) -> CurveRecord:
-    try:
-        params, tau = spec.params_at(value)
-        point = qsl_point(params, tau)
-        return CurveRecord(axis_value=value, point=point, meta=meta)
-    except Exception as exc:
-        return CurveRecord(
-            axis_value=value, point=None, meta=meta, error=_error_text(exc)
-        )
-
-
-def _run_tau_sweep(spec: SweepSpec, meta: dict) -> list[CurveRecord]:
-    """Shared-pass evaluation for a tau grid.
-
-    One sampling of the dynamics on [0, max(tau)] provides the extrema
-    and the cumulative variation; each tau is then a prefix lookup.
-    """
-    values = spec.grid
-    ok = np.isfinite(values) & (values > 0.0)
-    records: list[CurveRecord | None] = [None] * values.size
-    for i in np.flatnonzero(~ok):
-        records[i] = CurveRecord(
-            axis_value=float(values[i]),
-            point=None,
-            meta=meta,
-            error="InvalidParams: tau must be positive",
-        )
-    if not np.any(ok):
-        return [r for r in records if r is not None]
-
-    try:
-        params, _ = spec.params_at(float(values[np.flatnonzero(ok)[0]]))
-        engine = QubitDynamics(params)
-        taus = np.unique(values[ok])
-        tau_max = float(taus[-1])
-        base = cycle_grid(engine.oscillation_rate(), 0.0, tau_max)
-        times = np.unique(np.concatenate([base, taus]))
-        rho_ee, _, rates = engine.population_sample(times)
-        zs = _extrema_times(engine, times, rates)
-        if zs.size:
-            rho_z, _, _ = engine.population_sample(zs)
+    records: dict[float, CurveRecord] = {}
+    groups: dict[JCParams, list[tuple[float, float]]] = {}
+    for value in map(float, spec.grid):
+        try:
+            params, tau = spec.params_at(value)
+        except Exception as exc:
+            records[value] = CurveRecord(
+                axis_value=value, point=None, meta=meta, error=_error_text(exc)
+            )
         else:
-            rho_z = np.empty(0)
-        node_vals = np.concatenate([[rho_ee[0]], rho_z])
-        cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(node_vals)))])
+            groups.setdefault(params, []).append((value, tau))
 
-        value_at = {}
-        for tau_k in taus:
-            idx = int(np.searchsorted(times, tau_k))
-            rho_k = rho_ee[idx]
-            j = int(np.searchsorted(zs, tau_k, side="left"))
-            tv_k = cum[j] + abs(rho_k - node_vals[j])
-            sin2_k = abs(rho_k - 1.0)
-            value_at[float(tau_k)] = _point_from_variation(
-                float(tau_k), float(sin2_k), float(tv_k)
-            )
-        for i in np.flatnonzero(ok):
-            records[i] = CurveRecord(
-                axis_value=float(values[i]),
-                point=value_at[float(values[i])],
-                meta=meta,
-            )
-    except Exception as exc:
-        text = _error_text(exc)
-        for i in np.flatnonzero(ok):
-            records[i] = CurveRecord(
-                axis_value=float(values[i]), point=None, meta=meta, error=text
-            )
-    return [r for r in records if r is not None]
+    def run_group(params: JCParams, members: list[tuple[float, float]]) -> list[CurveRecord]:
+        try:
+            points = qsl_curve(params, [tau for _, tau in members])
+        except Exception as exc:
+            text = _error_text(exc)
+            return [
+                CurveRecord(axis_value=v, point=None, meta=meta, error=text)
+                for v, _ in members
+            ]
+        return [
+            CurveRecord(axis_value=v, point=p, meta=meta)
+            for (v, _), p in zip(members, points)
+        ]
+
+    if spec.threads > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+            done = list(pool.map(run_group, groups.keys(), groups.values()))
+    else:
+        done = [run_group(params, members) for params, members in groups.items()]
+    for group in done:
+        records.update((rec.axis_value, rec) for rec in group)
+    return [records[value] for value in map(float, spec.grid)]
 
 
 def detect_revivals(curve) -> tuple[int, list[tuple[float, float]]]:
@@ -437,9 +387,8 @@ def records_to_json(spec: SweepSpec, records: list[CurveRecord]) -> str:
 
 
 def write_records(
-    path: str, spec: SweepSpec, records: list[CurveRecord], fmt: str | None = None
+    path: str, spec: SweepSpec, records: list[CurveRecord], fmt: str = "csv"
 ) -> None:
-    fmt = fmt or spec.output
     if fmt == "csv":
         text = records_to_csv(spec, records)
     elif fmt == "json":

@@ -10,14 +10,30 @@ import fracqsl
 SOURCES = sorted(Path(fracqsl.__file__).parent.glob("*.py"))
 
 
+def _nodes():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path, node
+
+
 def test_no_assert_statements():
     # Checks written as assert vanish under ``python -O``; library code
     # raises a typed error instead.
     assert any(p.name == "jcmodel.py" for p in SOURCES)
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
+    found = [f"{path.name}:{node.lineno}" for path, node in _nodes()
+             if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in library code: {found}"
+
+
+def test_no_private_names_from_sibling_modules():
+    # A module that needs a sibling's underscore name shares a decision
+    # that belongs behind one module's public functions.
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path, node in _nodes()
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fracqsl")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"private names imported from sibling modules: {found}"

@@ -15,6 +15,7 @@ from fracqsl.qsl import (
     MLMTResult,
     QslPoint,
     bures_overlap_term,
+    qsl_curve,
     qsl_ml,
     qsl_mlmt,
     qsl_point,
@@ -171,6 +172,9 @@ class TestGeometricBound:
             qsl_point(p, 0.0)
         with pytest.raises(InvalidParams):
             qsl_point(p, -1.0)
+        for taus in ([0.5, 0.0], [0.5, math.nan], [], [[0.5]]):
+            with pytest.raises(InvalidParams):
+                qsl_curve(p, taus)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -229,9 +233,8 @@ class TestTrajectoryBound:
 class TestWindowBound:
     def test_bound_below_window(self):
         p = JCParams(beta=0.5, lam=0.5, n=20)
-        traj = make_trajectory(p, 3.0)
         for tau, tau_d in [(0.0, 0.5), (0.5, 1.0), (1.5, 1.5)]:
-            res = qsl_mlmt(traj, tau, tau_d)
+            res = qsl_mlmt(p, tau, tau_d)
             assert res.tau_qsl <= tau_d * (1.0 + 1e-9)
             assert res.avg_hs == pytest.approx(
                 math.sqrt(2.0) * res.avg_sv, rel=1e-14
@@ -241,9 +244,8 @@ class TestWindowBound:
         # At beta = 1 every window quantity has a closed form.
         p = JCParams(beta=1.0, lam=0.3, n=3)
         g = p.coupling
-        traj = make_trajectory(p, 2.0)
         tau, tau_d = 0.4, 0.6
-        res = qsl_mlmt(traj, tau, tau_d)
+        res = qsl_mlmt(p, tau, tau_d)
         ee = lambda t: math.cos(g * t) ** 2
         gg = lambda t: math.sin(g * t) ** 2
         tr_sq = ee(tau) ** 2 + gg(tau) ** 2
@@ -253,19 +255,12 @@ class TestWindowBound:
         assert res.relative_purity == pytest.approx(overlap / tr_sq, rel=1e-10)
         assert res.tau_qsl == pytest.approx(want, rel=1e-8)
 
-    def test_window_must_fit_horizon(self):
-        p = JCParams(beta=0.5, lam=0.5, n=2)
-        traj = make_trajectory(p, 1.0)
-        with pytest.raises(InvalidParams):
-            qsl_mlmt(traj, 0.8, 0.5)
-
     def test_window_validation(self):
         p = JCParams(beta=0.5, lam=0.5, n=2)
-        traj = make_trajectory(p, 1.0)
         with pytest.raises(InvalidParams):
-            qsl_mlmt(traj, -0.1, 0.5)
+            qsl_mlmt(p, -0.1, 0.5)
         with pytest.raises(InvalidParams):
-            qsl_mlmt(traj, 0.1, 0.0)
+            qsl_mlmt(p, 0.1, 0.0)
 
 
 class TestFormulaRoute:

@@ -81,10 +81,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             small_tau_spec(fixed={"beta": 0.7, "lam": 0.5, "n": 3, "api": 1})
 
-    def test_bad_output(self):
-        with pytest.raises(InvalidParams):
-            small_tau_spec(output="yaml")
-
     def test_bad_threads(self):
         with pytest.raises(InvalidParams):
             small_tau_spec(threads=0)
@@ -146,6 +142,37 @@ class TestRunSweep:
             direct = qsl_point(params, tau)
             assert rec.point.ratio_op == pytest.approx(direct.ratio_op, rel=0.0, abs=1e-10)
             assert rec.point.lambda_op == pytest.approx(direct.lambda_op, rel=1e-10, abs=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        axis=st.sampled_from(["lambda", "n"]),
+        beta=st.floats(0.2, 1.0),
+        lams=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5, unique=True),
+        ns=st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True),
+        tau=st.floats(0.2, 2.0),
+        a=st.one_of(st.none(), st.floats(0.35, 0.93)),
+        threads=st.sampled_from([1, 2]),
+    )
+    def test_batch_invariance_property(self, axis, beta, lams, ns, tau, a, threads):
+        # A point's value does not depend on its batch-mates or the pool;
+        # criterion 08's domain, non-eigen weights included.
+        assume(abs(beta - 2.0 / 3.0) >= 0.005)
+        if axis == "lambda":
+            grid = sorted(lams)
+            fixed = {"beta": beta, "n": ns[0], "tau": tau}
+            g_max = grid[-1] * math.sqrt(ns[0] + 1.0)
+        else:
+            grid = sorted(ns)
+            fixed = {"beta": beta, "lam": lams[0], "tau": tau}
+            g_max = lams[0] * math.sqrt(grid[-1] + 1.0)
+        assume(g_max ** (1.0 / beta) * tau <= 400.0)
+        if a is not None:
+            fixed.update(a=a, b=math.sqrt(1.0 - a * a))
+        spec = SweepSpec(
+            axis=axis, grid=np.array(grid, dtype=float), fixed=fixed, threads=threads
+        )
+        for rec in run_sweep(spec):
+            assert rec.point == qsl_point(*spec.params_at(rec.axis_value))
 
     def test_grid_cap_fails_the_point(self):
         # 2.55 nodes/rad over g**(1/beta) * tau ~ 4.3e5 rad is far above 60000.
@@ -382,7 +409,6 @@ class TestSerialization:
             axis="lambda",
             grid=np.array([0.4, 0.6]),
             fixed={"beta": 0.5, "n": 1, "tau": 1.0},
-            output="json",
         )
         doc = json.loads(records_to_json(spec, run_sweep(spec)))
         assert doc["spec"]["axis"] == "lambda"
@@ -412,6 +438,16 @@ class TestRunFigure:
             digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
             assert entry["sha256"] == digest
             assert entry["errors"] == 0
+
+    def test_json_output_echoes_no_format(self, tmp_path):
+        paths, failures = run_figure("fig4", str(tmp_path), fmt="json")
+        assert failures == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for entry, path in zip(manifest["files"], paths):
+            assert entry["file"].endswith(".json")
+            doc = json.loads(open(path, encoding="utf-8").read())
+            assert doc["spec"] == entry["spec"]
+            assert not {"csv", "json"} & set(map(str, entry["spec"].values()))
 
     def test_manifest_config_hash_is_timestamp_free(self, tmp_path):
         run_figure("fig4", str(tmp_path / "a"))
