@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -130,48 +131,27 @@ def _cmd_verify(args) -> int:
 
 def _cmd_qsl(args) -> int:
     params = _params_from(args)
-    point = qsl_point(params, args.tau)
-    doc = {
-        "tau": point.tau,
-        "sin2_bures": point.sin2_bures,
-        "lambda_tr": point.lambda_tr,
-        "lambda_hs": point.lambda_hs,
-        "lambda_op": point.lambda_op,
-        "ratio_op": point.ratio_op,
-        "ratio_max": point.ratio_max,
-    }
+    doc = asdict(qsl_point(params, args.tau))
     if args.tau_d is not None:
-        window = qsl_mlmt(params, args.tau, args.tau_d)
-        doc["window"] = {
-            "tau_qsl": window.tau_qsl,
-            "relative_purity": window.relative_purity,
-            "avg_sv": window.avg_sv,
-            "avg_hs": window.avg_hs,
-        }
+        doc["window"] = asdict(qsl_mlmt(params, args.tau, args.tau_d))
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    fixed = {}
+    # A value given for the swept axis goes into ``fixed`` too, so that
+    # SweepSpec rejects it instead of the sweep silently ignoring it.
+    fixed = {"a": args.a, "b": args.b}
     varied = {"tau": "tau", "lambda": "lam", "n": "n", "beta": "beta"}[args.axis]
     for key in ("beta", "lam", "n", "tau"):
-        if key == varied:
-            continue
         value = getattr(args, key)
-        if value is None:
+        if value is not None:
+            fixed[key] = value
+        elif key != varied:
             raise InvalidParams(f"--{'lambda' if key == 'lam' else key} is required "
                                 f"when sweeping {args.axis}")
-        fixed[key] = value
-    fixed["a"] = args.a
-    fixed["b"] = args.b
-    spec = SweepSpec(
-        axis=args.axis,
-        grid=_parse_grid(args.grid),
-        fixed=fixed,
-        threads=_resolve_threads(args.threads),
-    )
-    records = run_sweep(spec)
+    spec = SweepSpec(axis=args.axis, grid=_parse_grid(args.grid), fixed=fixed)
+    records = run_sweep(spec, _resolve_threads(args.threads))
     text = records_to_csv(spec, records) if args.format == "csv" else records_to_json(spec, records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

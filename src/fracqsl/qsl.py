@@ -25,15 +25,14 @@ observed a window tau_D later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidParams, NotPure
-from .jcmodel import JCParams, QubitDynamics, Trajectory, cycle_grid
-from .mlfun import MLOrder, ml_global
+from .jcmodel import JCParams, QubitDynamics, Trajectory, cycle_grid, evolve, reduced_density
 
 __all__ = [
     "QslPoint",
@@ -72,12 +71,11 @@ class QslPoint:
     ratio_max: float
 
     def __post_init__(self) -> None:
-        for name in ("tau", "sin2_bures", "lambda_tr", "lambda_hs",
-                     "lambda_op", "ratio_op", "ratio_max"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise InvalidParams("speed-limit fields must be finite numbers")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, f.name, float(v))
         if self.tau <= 0.0:
             raise InvalidParams(f"tau must be positive, got {self.tau!r}")
         if not (-1e-12 <= self.sin2_bures <= 1.0 + 1e-12):
@@ -102,11 +100,11 @@ class MLMTResult:
     avg_hs: float
 
     def __post_init__(self) -> None:
-        for name in ("tau_qsl", "relative_purity", "avg_sv", "avg_hs"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise InvalidParams("window-bound fields must be finite numbers")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, f.name, float(v))
         if self.tau_qsl < 0.0:
             raise InvalidParams(f"tau_qsl must be nonnegative, got {self.tau_qsl!r}")
         if self.avg_sv < 0.0 or self.avg_hs < 0.0:
@@ -363,8 +361,10 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
 def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     """Operator-norm bound ratio through the closed-form route.
 
-    Numerator: with P = |E2|^2 + |E1|^2 and R = 2 Re(E2 conj(E1)) from
-    scalar eigenfactor evaluations at tau,
+    Numerator: sin^2(B) is the ground population of ``reduced_density``
+    applied to ``evolve(params, tau)``, the scalar route that takes each
+    eigenfactor E_beta(+-g (-i tau)**beta) from its own ``ml_global``
+    call.  With P = |E2|^2 + |E1|^2 and R = 2 Re(E2 conj(E1)) this is
 
         sin^2(B) = a^2 (P - R) / (b^2 (P + R) + a^2 (P - R)).
 
@@ -383,15 +383,7 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     if g == 0.0:
         return 0.0
 
-    order = MLOrder(beta)
-    rot = (-1j) ** beta
-    e2 = ml_global(order, g * rot * tau**beta)
-    e1 = ml_global(order, -g * rot * tau**beta)
-    p_sum = abs(e2) ** 2 + abs(e1) ** 2
-    r_cross = 2.0 * float(np.real(e2 * np.conj(e1)))
-    numer = a**2 * (p_sum - r_cross) / (
-        b**2 * (p_sum + r_cross) + a**2 * (p_sum - r_cross)
-    )
+    numer = reduced_density(evolve(params, tau)).p_ground
 
     times = cycle_grid(engine.oscillation_rate(), 0.0, tau)
     _, _, rates = engine.population_sample(times)

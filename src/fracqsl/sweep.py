@@ -1,16 +1,19 @@
 """Parameter sweeps of the speed-limit bounds and figure-style presets.
 
 A sweep varies one axis (tau, lambda, n, or beta) while the remaining
-model parameters stay fixed.  Results are plain records that serialize
-to CSV or JSON with repr-exact floats, so rerunning a sweep with the
-same inputs reproduces the output byte for byte regardless of the
-thread count: each group's arithmetic is independent.
+model parameters stay fixed.  ``SweepSpec`` is the sweep's data: its
+``echo`` and ``fingerprint`` identify it, and the output files carry
+them.  Results are plain records whose columns are the ``QslPoint``
+fields; they serialize to CSV or JSON with repr-exact floats, so
+rerunning a sweep with the same inputs reproduces the output byte for
+byte regardless of the thread count: each group's arithmetic is
+independent.
 
 Grid values that share their model parameters form one group, answered
 by one ``qsl_curve`` pass: a tau sweep is a single group, and every value
-of another axis is a group of its own.  Groups run optionally across a
-thread pool; a failing point is recorded as data instead of aborting
-the run.
+of another axis is a group of its own.  ``run_sweep`` spreads the groups
+over a thread pool when asked for more than one thread; a failing point
+is recorded as data instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -47,56 +51,45 @@ _AXES = ("tau", "lambda", "n", "beta")
 _AXIS_PARAM = {"tau": "tau", "lambda": "lam", "n": "n", "beta": "beta"}
 _FIXED_KEYS = ("beta", "lam", "n", "a", "b", "tau")
 
-CSV_COLUMNS = (
-    "axis",
-    "axis_value",
-    "tau",
-    "sin2_bures",
-    "lambda_tr",
-    "lambda_hs",
-    "lambda_op",
-    "ratio_op",
-    "ratio_max",
-    "error",
-)
+_POINT_FIELDS = tuple(f.name for f in fields(QslPoint))
+CSV_COLUMNS = ("axis", "axis_value", *_POINT_FIELDS, "error")
+
+
+def _integer(value) -> int:
+    """Photon number from an integer-valued real; fractions are rejected."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise InvalidParams(f"n must be integer-valued, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: the axis, its grid, and the frozen remaining parameters.
 
-    ``grid`` is either an explicit strictly increasing array of axis
-    values or a ``(start, stop, count)`` triple that expands to an
-    inclusive linear grid.  ``fixed`` holds every model parameter the
-    axis does not vary; the key for the coupling is ``lam``.  ``label``
-    names the output file when the sweep belongs to a figure preset.
+    ``grid`` is the explicit, strictly increasing sequence of axis values
+    (at least two, all finite); build a linear grid with ``np.linspace``.
+    ``fixed`` holds every model parameter the axis does not vary, as real
+    numbers; the key for the coupling is ``lam``.  ``n`` must be
+    integer-valued and is stored as an int, every other value as a float.
+    ``label`` names the output file when the sweep belongs to a figure
+    preset.
     """
 
     axis: str
     grid: np.ndarray
     fixed: dict
-    threads: int = 1
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.axis not in _AXES:
             raise InvalidParams(f"axis must be one of {_AXES}, got {self.axis!r}")
-        raw = self.grid
-        if isinstance(raw, tuple) and len(raw) == 3:
-            start, stop, count = raw
-            if not isinstance(count, int) or count < 2:
-                raise InvalidParams(f"grid count must be an integer >= 2, got {count!r}")
-            grid = np.linspace(float(start), float(stop), count)
-        else:
-            grid = np.asarray(raw, dtype=float)
+        grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise InvalidParams("grid must be a 1-d array of at least 2 values")
         if not np.all(np.isfinite(grid)):
             raise InvalidParams("grid values must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise InvalidParams("grid must be strictly increasing")
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise InvalidParams(f"threads must be a positive integer, got {self.threads!r}")
         if not isinstance(self.fixed, dict):
             raise InvalidParams("fixed must be a dict")
         varied = _AXIS_PARAM[self.axis]
@@ -109,28 +102,24 @@ class SweepSpec:
         missing = needed - set(self.fixed)
         if missing:
             raise InvalidParams(f"missing fixed parameters: {sorted(missing)}")
+        fixed = {}
+        for key, value in self.fixed.items():
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidParams(f"fixed {key!r} must be a real number, got {value!r}")
+            fixed[key] = _integer(value) if key == "n" else float(value)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "fixed", fixed)
 
     def params_at(self, value: float) -> tuple[JCParams, float]:
         """Materialize (model parameters, tau) for one axis value."""
-        kw = {
-            "a": self.fixed.get("a", math.sqrt(0.5)),
-            "b": self.fixed.get("b", math.sqrt(0.5)),
-        }
-        for key in ("beta", "lam", "n"):
-            if key in self.fixed:
-                kw[key] = self.fixed[key]
         varied = _AXIS_PARAM[self.axis]
-        tau = float(value if varied == "tau" else self.fixed["tau"])
+        value = float(value)
+        kw = {**self.fixed, varied: value}
+        tau = kw.pop("tau")
         if not (math.isfinite(tau) and tau > 0.0):
             raise InvalidParams(f"tau must be positive, got {tau!r}")
         if varied == "n":
-            if float(value) != int(value):
-                raise InvalidParams(f"n must be integer-valued, got {value!r}")
-            kw["n"] = int(value)
-        elif varied != "tau":
-            kw[varied] = float(value)
-        kw["n"] = int(kw["n"])
+            kw["n"] = _integer(value)
         return JCParams(**kw), tau
 
     def echo(self) -> dict:
@@ -160,7 +149,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CurveRecord:
-    """One sweep point: the axis value, its bound summary, and an echo.
+    """One sweep point: the axis value and its bound summary.
 
     ``point`` is None exactly when ``error`` is set; failures travel as
     data so one bad point cannot abort a long sweep.
@@ -168,7 +157,6 @@ class CurveRecord:
 
     axis_value: float
     point: QslPoint | None
-    meta: dict = field(default_factory=dict)
     error: str | None = None
 
 
@@ -177,25 +165,24 @@ def _error_text(exc: Exception) -> str:
     return " ".join(text.split())
 
 
-def run_sweep(spec: SweepSpec) -> list[CurveRecord]:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> list[CurveRecord]:
     """Evaluate the sweep, one record per grid value, in grid order.
 
     Grid values with the same model parameters (every value of a tau
     sweep) form one group, answered by one ``qsl_curve`` pass.  A value
     whose parameters are invalid fails alone; a group that raises fails
-    its own values only.
+    its own values only.  ``threads`` (a positive integer) sizes the pool
+    the groups are spread over; it changes no output bit.
     """
-    meta = spec.echo()
-    meta["config_hash"] = spec.fingerprint()
+    if not isinstance(threads, int) or threads < 1:
+        raise InvalidParams(f"threads must be a positive integer, got {threads!r}")
     records: dict[float, CurveRecord] = {}
     groups: dict[JCParams, list[tuple[float, float]]] = {}
     for value in map(float, spec.grid):
         try:
             params, tau = spec.params_at(value)
         except Exception as exc:
-            records[value] = CurveRecord(
-                axis_value=value, point=None, meta=meta, error=_error_text(exc)
-            )
+            records[value] = CurveRecord(axis_value=value, point=None, error=_error_text(exc))
         else:
             groups.setdefault(params, []).append((value, tau))
 
@@ -204,17 +191,11 @@ def run_sweep(spec: SweepSpec) -> list[CurveRecord]:
             points = qsl_curve(params, [tau for _, tau in members])
         except Exception as exc:
             text = _error_text(exc)
-            return [
-                CurveRecord(axis_value=v, point=None, meta=meta, error=text)
-                for v, _ in members
-            ]
-        return [
-            CurveRecord(axis_value=v, point=p, meta=meta)
-            for (v, _), p in zip(members, points)
-        ]
+            return [CurveRecord(axis_value=v, point=None, error=text) for v, _ in members]
+        return [CurveRecord(axis_value=v, point=p) for (v, _), p in zip(members, points)]
 
-    if spec.threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+    if threads > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run_group, groups.keys(), groups.values()))
     else:
         done = [run_group(params, members) for params, members in groups.items()]
@@ -274,7 +255,7 @@ def _fmt_tag(value: float) -> str:
     return text.replace(".", "p").replace("-", "m")
 
 
-def figure_preset(figure: str, threads: int = 1) -> list[SweepSpec]:
+def figure_preset(figure: str) -> list[SweepSpec]:
     """Sweep collection reproducing one of the four parameter studies.
 
     fig2: population bound along tau for several fractional orders.
@@ -290,7 +271,6 @@ def figure_preset(figure: str, threads: int = 1) -> list[SweepSpec]:
                 axis="tau",
                 grid=tau_axis,
                 fixed={"beta": beta, "lam": 0.5, "n": 20},
-                threads=threads,
                 label=f"fig2_beta{_fmt_tag(beta)}",
             )
             for beta in (0.1, 0.4, 0.7, 1.0)
@@ -301,7 +281,6 @@ def figure_preset(figure: str, threads: int = 1) -> list[SweepSpec]:
                 axis="lambda",
                 grid=lam_axis,
                 fixed={"beta": beta, "n": 40, "tau": tau},
-                threads=threads,
                 label=f"fig3_beta{_fmt_tag(beta)}_tau{_fmt_tag(tau)}",
             )
             for beta in (0.2, 0.5, 0.8, 1.0)
@@ -313,7 +292,6 @@ def figure_preset(figure: str, threads: int = 1) -> list[SweepSpec]:
                 axis="tau",
                 grid=tau_axis,
                 fixed={"beta": 0.5, "lam": lam, "n": 20},
-                threads=threads,
                 label=f"fig4_lam{_fmt_tag(lam)}",
             )
             for lam in (0.3, 0.5, 0.8, 1.0)
@@ -324,7 +302,6 @@ def figure_preset(figure: str, threads: int = 1) -> list[SweepSpec]:
                 axis="lambda",
                 grid=lam_axis,
                 fixed={"beta": beta, "n": n, "tau": 1.0},
-                threads=threads,
                 label=f"fig5_n{n}_beta{_fmt_tag(beta)}",
             )
             for n in (0, 5, 10, 20)
@@ -342,46 +319,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _row(spec: SweepSpec, rec: CurveRecord) -> dict:
+    """One output row; a failed record carries no point fields."""
+    row = {"axis": spec.axis, "axis_value": rec.axis_value, "error": rec.error}
+    if rec.point is not None:
+        # getattr, not dataclasses.asdict: asdict's deep copy doubles the
+        # cost of writing a large sweep.
+        row.update((name, getattr(rec.point, name)) for name in _POINT_FIELDS)
+    return row
+
+
 def records_to_csv(spec: SweepSpec, records: list[CurveRecord]) -> str:
     """RFC-4180 text with repr-exact floats; stable across reruns."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        p = rec.point
-        writer.writerow(
-            [
-                spec.axis,
-                _csv_cell(rec.axis_value),
-                _csv_cell(p.tau if p else None),
-                _csv_cell(p.sin2_bures if p else None),
-                _csv_cell(p.lambda_tr if p else None),
-                _csv_cell(p.lambda_hs if p else None),
-                _csv_cell(p.lambda_op if p else None),
-                _csv_cell(p.ratio_op if p else None),
-                _csv_cell(p.ratio_max if p else None),
-                rec.error or "",
-            ]
-        )
+        row = _row(spec, rec)
+        writer.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 
 def records_to_json(spec: SweepSpec, records: list[CurveRecord]) -> str:
-    rows = []
-    for rec in records:
-        row = {"axis": spec.axis, "axis_value": rec.axis_value, "error": rec.error}
-        if rec.point is not None:
-            p = rec.point
-            row.update(
-                tau=p.tau,
-                sin2_bures=p.sin2_bures,
-                lambda_tr=p.lambda_tr,
-                lambda_hs=p.lambda_hs,
-                lambda_op=p.lambda_op,
-                ratio_op=p.ratio_op,
-                ratio_max=p.ratio_max,
-            )
-        rows.append(row)
+    rows = [_row(spec, rec) for rec in records]
     doc = {"spec": spec.echo(), "records": rows}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -417,13 +377,13 @@ def run_figure(
     (timestamp excluded, so reruns agree on it).  Returns the list of
     written data files and the number of failed points.
     """
-    specs = figure_preset(figure, threads=threads)
+    specs = figure_preset(figure)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     paths = []
     failures = 0
     for spec in specs:
-        records = run_sweep(spec)
+        records = run_sweep(spec, threads)
         failures += sum(1 for r in records if r.error is not None)
         name = f"{spec.label}.{fmt}"
         path = os.path.join(out_dir, name)

@@ -209,6 +209,16 @@ class TestSweepCommand:
         assert rc == 2
         assert "--tau is required" in capsys.readouterr().err
 
+    def test_value_for_swept_axis_rejected(self, capsys):
+        rc = main(["sweep", "--axis", "tau", "--grid", "0.5,1.0",
+                   "--beta", "0.8", "--lambda", "0.4", "--n", "1", "--tau", "7"])
+        assert rc == 2
+        assert "sweep axis and cannot be fixed" in capsys.readouterr().err
+        rc = main(["sweep", "--axis", "n", "--grid", "1,2",
+                   "--beta", "0.8", "--lambda", "0.4", "--n", "3", "--tau", "1.0"])
+        assert rc == 2
+        assert "sweep axis and cannot be fixed" in capsys.readouterr().err
+
     def test_env_threads_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACQSL_THREADS", "3")
         out_file = tmp_path / "scan.csv"

@@ -57,14 +57,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidParams):
             small_tau_spec(grid=np.array([0.5, 0.5, 1.0]))
 
-    def test_triple_expands_to_linear_grid(self):
-        spec = small_tau_spec(grid=(0.5, 2.0, 7))
-        np.testing.assert_array_equal(spec.grid, np.linspace(0.5, 2.0, 7))
-
-    def test_triple_count_must_be_integer(self):
-        with pytest.raises(InvalidParams):
-            small_tau_spec(grid=(0.5, 2.0, 1))
-
     def test_non_finite_grid(self):
         with pytest.raises(InvalidParams):
             small_tau_spec(grid=np.array([0.5, np.nan]))
@@ -83,7 +75,7 @@ class TestSpecValidation:
 
     def test_bad_threads(self):
         with pytest.raises(InvalidParams):
-            small_tau_spec(threads=0)
+            run_sweep(small_tau_spec(), threads=0)
 
     def test_params_at_defaults_to_balanced_weights(self):
         spec = small_tau_spec()
@@ -100,6 +92,31 @@ class TestSpecValidation:
         )
         with pytest.raises(InvalidParams):
             spec.params_at(2.5)
+
+    def test_fixed_n_must_be_integer_valued(self):
+        with pytest.raises(InvalidParams, match="integer-valued"):
+            SweepSpec(
+                axis="lambda",
+                grid=np.array([0.2, 0.4]),
+                fixed={"beta": 0.5, "n": 2.5, "tau": 1.0},
+            )
+        with pytest.raises(InvalidParams, match="real number"):
+            small_tau_spec(fixed={"beta": 0.7, "lam": 0.5, "n": True})
+
+    def test_numpy_scalars_in_fixed_are_normalized(self):
+        spec = SweepSpec(
+            axis="lambda",
+            grid=np.array([0.2, 0.4]),
+            fixed={"beta": np.float64(0.5), "n": np.int64(3), "tau": np.float32(1.0)},
+        )
+        plain = SweepSpec(
+            axis="lambda",
+            grid=np.array([0.2, 0.4]),
+            fixed={"beta": 0.5, "n": 3, "tau": 1.0},
+        )
+        assert spec.fingerprint() == plain.fingerprint()
+        assert [type(spec.fixed[k]) for k in ("beta", "n", "tau")] == [float, int, float]
+        assert [r.point for r in run_sweep(spec)] == [r.point for r in run_sweep(plain)]
 
     def test_echo_flags_nondefault_weights(self):
         spec = small_tau_spec(
@@ -168,10 +185,8 @@ class TestRunSweep:
         assume(g_max ** (1.0 / beta) * tau <= 400.0)
         if a is not None:
             fixed.update(a=a, b=math.sqrt(1.0 - a * a))
-        spec = SweepSpec(
-            axis=axis, grid=np.array(grid, dtype=float), fixed=fixed, threads=threads
-        )
-        for rec in run_sweep(spec):
+        spec = SweepSpec(axis=axis, grid=np.array(grid, dtype=float), fixed=fixed)
+        for rec in run_sweep(spec, threads):
             assert rec.point == qsl_point(*spec.params_at(rec.axis_value))
 
     def test_grid_cap_fails_the_point(self):
@@ -196,11 +211,9 @@ class TestRunSweep:
 
     def test_meta_carries_version_and_config_hash(self):
         spec = small_tau_spec()
-        recs = run_sweep(spec)
-        meta = recs[0].meta
-        assert meta["version"]
-        assert len(meta["config_hash"]) == 64
-        assert meta["config_hash"] == spec.fingerprint()
+        assert spec.echo()["version"]
+        assert len(spec.fingerprint()) == 64
+        assert spec.fingerprint() == small_tau_spec().fingerprint()
         other = small_tau_spec(fixed={"beta": 0.6, "lam": 0.5, "n": 3})
         assert other.fingerprint() != spec.fingerprint()
 
@@ -257,10 +270,9 @@ class TestRunSweep:
     def test_threaded_run_is_byte_identical_to_serial(self):
         grid = np.linspace(0.0, 1.0, 9)
         fixed = {"beta": 0.8, "n": 4, "tau": 1.2}
-        serial = SweepSpec(axis="lambda", grid=grid, fixed=fixed, threads=1)
-        pooled = SweepSpec(axis="lambda", grid=grid, fixed=fixed, threads=4)
-        text1 = records_to_csv(serial, run_sweep(serial))
-        text2 = records_to_csv(pooled, run_sweep(pooled))
+        spec = SweepSpec(axis="lambda", grid=grid, fixed=fixed)
+        text1 = records_to_csv(spec, run_sweep(spec, threads=1))
+        text2 = records_to_csv(spec, run_sweep(spec, threads=4))
         assert text1 == text2
 
 
@@ -415,6 +427,28 @@ class TestSerialization:
         assert doc["spec"]["version"]
         assert doc["records"][0]["error"] is None
         assert 0.0 <= doc["records"][0]["ratio_op"] <= 1.0 + 1e-9
+
+    def test_csv_and_json_rows_agree(self):
+        spec = SweepSpec(
+            axis="lambda",
+            grid=np.array([0.3, 0.45, 1.7]),
+            fixed={"beta": 0.5, "n": 1, "tau": 1.0},
+        )
+        recs = run_sweep(spec)
+        assert [r.error is None for r in recs] == [True, True, False]
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(spec, recs))))
+        docs = json.loads(records_to_json(spec, recs))["records"]
+        assert len(rows) == len(docs) == len(recs)
+        for row, doc in zip(rows, docs):
+            assert list(row) == list(CSV_COLUMNS)
+            for col in CSV_COLUMNS:
+                want = doc.get(col)
+                if want is None:
+                    assert row[col] == ""
+                elif isinstance(want, str):
+                    assert row[col] == want
+                else:
+                    assert float(row[col]) == want
 
     def test_write_records_rejects_unknown_format(self, tmp_path):
         spec = small_tau_spec(grid=np.array([0.5, 1.0]))
