@@ -14,14 +14,18 @@ Three complementary evaluation routes are provided:
   series radius and as a fallback when the cut integrand is ill-placed.
 
 ``ml_linear_batch`` evaluates E_{beta,gamma}(c * t**beta) for several
-(c, gamma) pairs on a shared time grid; the costly exponential factor of
-the cut integral depends only on the quadrature nodes and the times, so it
-is computed once and reused across pairs.
+(c, gamma) pairs on a shared time grid.  Small arguments go through one
+Horner pass over all pairs at once, with Taylor tables cached per
+(beta, gamma).  The rest share one branch-cut mesh: the exponential
+factor of the cut integral depends only on the quadrature nodes and the
+times and is real, so it is computed once and multiplied by every pair's
+weights in a single real matrix product.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,8 +54,9 @@ __all__ = [
 
 # Decay budget of the cut integral: e^{-45} ~ 3e-20 truncation.
 _EFOLDS = 45.0
-# Geometric panel ratio resolving the x**((1-gamma)/beta) endpoint behavior.
-_HEAD_RATIO = 1.9
+# Geometric head panels resolving the x**((1-gamma)/beta) endpoint behavior
+# between 1e-9 * x_break and x_break, at a ratio of at most 1.9.
+_HEAD_PANELS = math.ceil(9.0 * math.log(10.0) / math.log(1.9))
 # Tail panels advance ~5 e-folds of the exponential factor each.
 _TAIL_EFOLDS = 5.0
 # Trapezoid points per half-contour of the parabolic Bromwich inversion.
@@ -170,10 +175,12 @@ def _cut_mesh(
     """Gauss-Legendre mesh in x = r**beta for the branch-cut integral.
 
     The integrand carries exp(-x**(1/beta) * t) times a rational factor
-    whose roots sit at c*exp(+-i*beta*pi).  Geometric head panels resolve
-    the algebraic endpoint behavior, e-fold-budgeted tail panels track the
-    exponential over the whole [t_lo, t_hi] range, and zoom panels are
-    inserted around |c| whenever a root approaches the integration axis.
+    whose roots sit at c*exp(+-i*beta*pi).  One panel spans [0, 1e-9 *
+    x_break] with x_break = t_hi**(-beta); geometric head panels above it
+    resolve the algebraic endpoint behavior up to x_break, e-fold-budgeted
+    tail panels track the exponential over the whole [t_lo, t_hi] range,
+    and zoom panels are inserted around |c| whenever a root approaches the
+    integration axis.
     Returns (nodes, weights, nodes**(1/beta)).
     """
     if not (0.0 < t_lo <= t_hi):
@@ -181,11 +188,13 @@ def _cut_mesh(
     r_hi = min(_EFOLDS / t_lo, _QUAD_CUTOFF)
     x_hi = r_hi**beta
     x_break = min((1.0 / t_hi) ** beta, x_hi)
-    x_lo = 1e-18
-
-    edges = [x_lo]
-    while edges[-1] < x_break:
-        edges.append(edges[-1] * _HEAD_RATIO)
+    # A single panel from 0 covers x < 1e-9 * x_break: for gamma <= 1 the
+    # integrand there is a nonnegative power of x times a nearly constant
+    # factor, so its share of the integral is of order 1e-9 or below.
+    # The graded panels above it end exactly at x_break, so none of them
+    # reaches into the decay region that the tail panels budget by e-folds.
+    x_head = 1e-9 * x_break
+    edges = [0.0, *np.geomspace(x_head, x_break, _HEAD_PANELS + 1)]
     r_tail = 1.0 + _TAIL_EFOLDS * beta / _EFOLDS
     while edges[-1] < x_hi:
         edges.append(edges[-1] * r_tail)
@@ -200,13 +209,13 @@ def _cut_mesh(
             )
         ratio = math.exp(max(d_min, 0.02) / 3.0)
         for ac in sorted({abs(c) for c in cs}):
-            lo = max(ac * math.exp(-1.5), x_lo)
+            lo = max(ac * math.exp(-1.5), x_head)
             hi = min(ac * math.exp(1.5), x_hi)
             if lo < hi:
                 count = int(math.ceil(math.log(hi / lo) / math.log(ratio))) + 1
                 edge_arr.append(np.geomspace(lo, hi, count + 1))
     all_edges = np.unique(np.concatenate(edge_arr))
-    all_edges = all_edges[(all_edges >= x_lo) & (all_edges <= max(x_hi, x_lo * 2))]
+    all_edges = all_edges[all_edges <= x_hi]
 
     a = all_edges[:-1]
     b = all_edges[1:]
@@ -365,8 +374,14 @@ def ml_time_derivative(beta: float, c: complex, t: float) -> complex:
     return _ensure_value(c * t ** (beta - 1.0) * val, "ml_time_derivative")
 
 
-def _series_coefficients(beta: float, gamma: float, z_max: float) -> np.ndarray:
-    """Taylor coefficients rgamma(beta*j + gamma) truncated for |z| <= z_max."""
+@functools.lru_cache(maxsize=256)
+def _series_coefficients(beta: float, gamma: float) -> np.ndarray:
+    """Taylor coefficients rgamma(beta*j + gamma) truncated for |z| <= series_radius(beta).
+
+    Cached per order pair; the table is shared by every caller, so it is
+    returned read-only.
+    """
+    z_max = series_radius(beta)
     coeffs = []
     zp = 1.0
     small_run = 0
@@ -380,18 +395,12 @@ def _series_coefficients(beta: float, gamma: float, z_max: float) -> np.ndarray:
         if bound <= 1e-18:
             small_run += 1
             if small_run >= 3:
-                return np.asarray(coeffs)
+                table = np.asarray(coeffs)
+                table.flags.writeable = False
+                return table
         else:
             small_run = 0
     raise NonConvergence(f"batch series truncation not reached in {_MAX_TERMS} terms")
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for a_j in coeffs[-2::-1]:
-        out *= z
-        out += a_j
-    return out
 
 
 def ml_linear_batch(
@@ -402,11 +411,15 @@ def ml_linear_batch(
     """E_{beta,gamma}(c * t**beta) for each (c, gamma) pair over a time grid.
 
     Times must be nonnegative; t = 0 rows evaluate to 1/Gamma(gamma).
-    Small arguments go through vectorized Taylor summation; the rest share
-    one branch-cut mesh whose exponential factor exp(-x**(1/beta) * t) is
-    computed once per time chunk and reused for every pair.  Coefficients
-    whose cut roots fall too close to the integration axis are evaluated
-    by the contour route point by point instead.
+    Times with max|c| * t**beta inside ``series_radius(beta)`` go through
+    one Horner pass over every pair, the cached Taylor tables stacked and
+    zero-padded to a common length; each such value is independent of its
+    batch-mates.  The other times share one branch-cut mesh built from
+    their range: the real factor exp(-x**(1/beta) * t) is computed once
+    per time chunk and multiplied by the (re, im) weight columns of every
+    pair in one real matrix product.  Coefficients whose cut roots fall
+    too close to the integration axis are evaluated by the contour route
+    point by point instead.
 
     Returns a complex array of shape (len(pairs), len(ts)).
     """
@@ -441,10 +454,20 @@ def ml_linear_batch(
     series_mask = c_max * tb <= radius
     mesh_mask = ~series_mask
 
-    for i, (c, gamma) in enumerate(pairs):
-        if np.any(series_mask):
-            coeffs = _series_coefficients(beta, gamma, radius)
-            out[i, series_mask] = _horner(coeffs, c * tb[series_mask])
+    if np.any(series_mask):
+        tables = [_series_coefficients(beta, gamma) for _, gamma in pairs]
+        coef = np.zeros((len(pairs), max(len(table) for table in tables)))
+        for i, table in enumerate(tables):
+            coef[i, : len(table)] = table
+        z = np.multiply.outer(np.array([c for c, _ in pairs], dtype=complex), tb[series_mask])
+        acc = np.zeros_like(z)
+        # Out of place on purpose: numpy's in-place complex multiply rounds
+        # differently with the array length, which would make a value depend
+        # on its batch-mates.  Zero padding leaves acc exactly 0 until a
+        # row's own leading coefficient.
+        for j in range(coef.shape[1] - 1, -1, -1):
+            acc = acc * z + coef[:, j : j + 1]
+        out[:, series_mask] = acc
 
     if np.any(mesh_mask):
         t_mesh = ts[mesh_mask]
@@ -460,21 +483,22 @@ def ml_linear_batch(
         if mesh_pairs:
             cs = [c for _, c, _ in mesh_pairs if c != 0]
             xm, wm, y = _cut_mesh(beta, t_lo, t_hi, cs)
-            weight_mat = np.stack(
-                [
-                    _cut_weight_vector(beta, gamma, c, xm, wm)
-                    if c != 0
-                    else np.zeros_like(xm, dtype=complex)
-                    for _, c, gamma in mesh_pairs
-                ],
-                axis=1,
-            )
+            weight_mat = np.zeros((xm.size, len(mesh_pairs)), dtype=complex)
+            for k, (_, c, gamma) in enumerate(mesh_pairs):
+                if c != 0:
+                    weight_mat[:, k] = _cut_weight_vector(beta, gamma, c, xm, wm)
+            # The exponential factor is real: multiply it by the (re, im)
+            # columns of the weights in one real matmul, straight into the
+            # complex result's storage.
+            weight_real = weight_mat.view(np.float64)
             vals = np.empty((t_mesh.size, len(mesh_pairs)), dtype=complex)
+            vals_real = vals.view(np.float64)
             chunk = max(1, int(4e6 // max(1, xm.size)))
             for lo in range(0, t_mesh.size, chunk):
                 hi = min(lo + chunk, t_mesh.size)
-                expm = np.exp(-np.outer(t_mesh[lo:hi], y))
-                vals[lo:hi] = expm @ weight_mat
+                expm = np.multiply.outer(t_mesh[lo:hi], -y)
+                np.exp(expm, out=expm)
+                np.matmul(expm, weight_real, out=vals_real[lo:hi])
             for k, (i, c, gamma) in enumerate(mesh_pairs):
                 v = vals[:, k]
                 if c == 0:

@@ -307,6 +307,60 @@ class TestLinearBatch:
         with pytest.raises(InvalidParams):
             ml_linear_batch(0.5, [(1.0j, 1.0)], np.array([-0.1, 1.0]))
 
+    @pytest.mark.parametrize("beta", [0.15, 0.25])
+    def test_mesh_rows_at_small_order(self, beta):
+        # gamma = beta and gamma = 1 rows below beta 0.3, on the cut mesh at
+        # every time.  A negative alpha has no residue here, so each value
+        # is the cut integral alone, whose head starts with one panel from 0.
+        # A time alone gets the narrowest mesh (t_lo = t_hi); there the head
+        # used to overshoot x_hi at beta 0.15 and cut the integral short.
+        alpha = -6.0
+        pairs = [(alpha * (-1j) ** beta, gamma) for gamma in (beta, 1.0)]
+        ts = np.geomspace(1e-2, 30.0, 9)
+        assert np.all(abs(alpha) * ts**beta > series_radius(beta))
+        got = ml_linear_batch(beta, pairs, ts)
+        for k, t in enumerate(ts):
+            alone = ml_linear_batch(beta, pairs, ts[k : k + 1])[:, 0]
+            for i, (_, gamma) in enumerate(pairs):
+                want = ml_ray_quad(beta, gamma, alpha, float(t))
+                assert rel_err(got[i, k], want) < 1e-8
+                assert rel_err(alone[i], want) < 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.15, 1.0, exclude_max=True),
+        polar=st.lists(
+            st.tuples(st.floats(0.05, 6.0), st.floats(-math.pi, math.pi)),
+            min_size=2,
+            max_size=4,
+        ),
+        fracs=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=12),
+    )
+    def test_series_values_ignore_batch_mates_property(self, beta, polar, fracs):
+        # Pairs alternate gamma = 1 and gamma = beta, so their series tables
+        # differ in length; every time lies inside the series radius.
+        pairs = [
+            (mag * cmath.exp(1j * th), 1.0 if k % 2 == 0 else beta)
+            for k, (mag, th) in enumerate(polar)
+        ]
+        c_max = max(mag for mag, _ in polar)
+        ts = np.array([(f * series_radius(beta) / c_max) ** (1.0 / beta) for f in fracs])
+        assert np.all(c_max * ts**beta <= series_radius(beta))
+        got = ml_linear_batch(beta, pairs, ts)
+        for k in range(ts.size):
+            assert np.array_equal(got[:, k], ml_linear_batch(beta, pairs, ts[k : k + 1])[:, 0])
+        for i, pair in enumerate(pairs):
+            assert np.array_equal(got[i], ml_linear_batch(beta, [pair], ts)[0])
+
+    def test_series_table_is_shared_and_read_only(self):
+        from fracqsl.mlfun import _series_coefficients
+
+        table = _series_coefficients(0.3, 1.0)
+        assert _series_coefficients(0.3, 1.0) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
     @settings(max_examples=25, deadline=None)
     @given(
         beta=st.floats(0.25, 1.0),
