@@ -19,10 +19,8 @@ from .errors import (
     InvalidOrder,
     InvalidParams,
     NonConvergence,
-    NotHermitian,
     NotPure,
     QuadratureFailure,
-    StepTooSmall,
     TooFewPoints,
     UnknownFigure,
 )
@@ -32,12 +30,10 @@ from .jcmodel import (
     JCParams,
     QubitDynamics,
     Trajectory,
-    density_derivative,
     evolve,
     interaction_hamiltonian,
     make_trajectory,
     reduced_density,
-    spectral_decomposition,
 )
 from .mlfun import (
     MLOrder,
@@ -86,13 +82,11 @@ __all__ = [
     "MLMTResult",
     "MLOrder",
     "NonConvergence",
-    "NotHermitian",
     "NotPure",
     "QslPoint",
     "QuadratureFailure",
     "QubitDynamics",
     "SampledSignal",
-    "StepTooSmall",
     "SweepSpec",
     "TooFewPoints",
     "Trajectory",
@@ -100,7 +94,6 @@ __all__ = [
     "bures_overlap_term",
     "caputo_derivative",
     "caputo_derivative_all",
-    "density_derivative",
     "detect_revivals",
     "evolve",
     "figure_preset",
@@ -121,6 +114,5 @@ __all__ = [
     "run_sweep",
     "schatten_norm",
     "series_radius",
-    "spectral_decomposition",
     "write_records",
 ]

@@ -42,16 +42,8 @@ class DegenerateState(FracQslError, ArithmeticError):
     """State normalization vanished; populations are undefined."""
 
 
-class NotHermitian(FracQslError, ValueError):
-    """Matrix is not Hermitian within tolerance."""
-
-
 class NotPure(FracQslError, ValueError):
     """Density matrix is not rank one within tolerance."""
-
-
-class StepTooSmall(FracQslError, ValueError):
-    """Finite-difference step is degenerate for the requested point."""
 
 
 class UnknownFigure(FracQslError, KeyError):

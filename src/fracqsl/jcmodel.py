@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateState,
-    GridTooCoarse,
-    InvalidOrder,
-    InvalidParams,
-    NotHermitian,
-    StepTooSmall,
-)
+from .errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
 from .mlfun import MLOrder, ml_global, ml_linear_batch
 
 __all__ = [
@@ -37,10 +30,8 @@ __all__ = [
     "Trajectory",
     "QubitDynamics",
     "interaction_hamiltonian",
-    "spectral_decomposition",
     "evolve",
     "reduced_density",
-    "density_derivative",
     "make_trajectory",
     "cycle_grid",
 ]
@@ -146,7 +137,7 @@ class DensityMatrix2:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled dynamics: amplitudes and excited-state population on a grid.
+    """Sampled dynamics: excited-state population and its rate on a grid.
 
     ``rho_dot[0]`` is stored as 0 by convention; for beta < 1 the
     population rate can diverge at t = 0 and no consumer reads it there.
@@ -154,34 +145,24 @@ class Trajectory:
 
     params: JCParams
     times: np.ndarray
-    states: np.ndarray
     rho_ee: np.ndarray
     rho_dot: np.ndarray
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
         rho_ee = np.asarray(self.rho_ee, dtype=float)
         rho_dot = np.asarray(self.rho_dot, dtype=float)
         if times.ndim != 1 or times.size < 16:
             raise GridTooCoarse("trajectory needs at least 16 nodes")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise InvalidParams("times must increase strictly from 0")
-        if states.shape != (times.size, 2):
-            raise InvalidParams("states must have shape (n, 2)")
         if rho_ee.shape != times.shape or rho_dot.shape != times.shape:
             raise InvalidParams("population arrays must match the time grid")
-        if not (
-            np.all(np.isfinite(rho_ee))
-            and np.all(np.isfinite(rho_dot))
-            and np.all(np.isfinite(states.real))
-            and np.all(np.isfinite(states.imag))
-        ):
+        if not (np.all(np.isfinite(rho_ee)) and np.all(np.isfinite(rho_dot))):
             raise InvalidParams("trajectory samples must be finite")
         if np.any(rho_ee < -1e-12) or np.any(rho_ee > 1.0 + 1e-12):
             raise InvalidParams("rho_ee must lie in [0, 1]")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "rho_ee", rho_ee)
         object.__setattr__(self, "rho_dot", rho_dot)
 
@@ -197,29 +178,6 @@ def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
         raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
     g = lam * math.sqrt(n + 1.0)
     return np.array([[0.0, g], [g, 0.0]], dtype=complex)
-
-
-def spectral_decomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
-
-    Each eigenvector is rotated so its first component of magnitude above
-    1e-12 is real and positive, which fixes the phase freedom.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParams(f"matrix must be square, got shape {m.shape}")
-    scale = 1.0 + float(np.abs(m).max())
-    if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(m)
-    evecs = evecs.astype(complex)
-    for k in range(evecs.shape[1]):
-        col = evecs[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            pivot = col[idx[0]]
-            evecs[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return evals, evecs
 
 
 class QubitDynamics:
@@ -354,44 +312,6 @@ def reduced_density(amps: CompositeAmplitudes) -> DensityMatrix2:
     return DensityMatrix2(np.diag([pg / norm, pe / norm]).astype(complex))
 
 
-def density_derivative(
-    params: JCParams,
-    t: float,
-    method: str = "analytic",
-    step: float | None = None,
-) -> np.ndarray:
-    """Time derivative of the reduced density matrix at t > 0.
-
-    ``analytic`` differentiates the eigenfactors exactly;
-    ``finite_difference`` applies a central difference to the populations
-    with the given step (default 1e-7 * max(t, 1)).  The result is
-    diagonal and traceless by construction.
-    """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise InvalidParams(f"t must be positive, got {t!r}")
-    engine = QubitDynamics(params)
-    if method == "analytic":
-        rate = float(engine.population_rate(np.array([t]))[0])
-    elif method == "finite_difference":
-        scale = max(abs(t), 1.0)
-        if step is None:
-            step = 1e-7 * scale
-        if not (math.isfinite(step) and step > 0.0):
-            raise InvalidParams(f"step must be positive, got {step!r}")
-        if step < 64.0 * np.finfo(float).eps * scale:
-            raise StepTooSmall(
-                f"step {step:.3g} is below the rounding floor for t = {t:.3g}"
-            )
-        if t - step <= 0.0:
-            raise InvalidParams("step must be smaller than t for a central difference")
-        hi, _ = engine.populations(np.array([t + step]))
-        lo, _ = engine.populations(np.array([t - step]))
-        rate = float(hi[0] - lo[0]) / (2.0 * step)
-    else:
-        raise InvalidParams(f"unknown method {method!r}")
-    return np.array([[-rate, 0.0], [0.0, rate]], dtype=float)
-
-
 def cycle_grid(
     omega: float, t_start: float, t_end: float, count: int | None = None
 ) -> np.ndarray:
@@ -428,7 +348,7 @@ def make_trajectory(
     t_end: float,
     num_points: int | None = None,
 ) -> Trajectory:
-    """Sample amplitudes and populations on [0, t_end].
+    """Sample the excited-state population and its rate on [0, t_end].
 
     The default node count is that of ``cycle_grid``; an explicit
     ``num_points`` below 16 raises GridTooCoarse.
@@ -441,8 +361,5 @@ def make_trajectory(
             raise GridTooCoarse(f"trajectory needs at least 16 points, got {num_points}")
         num_points = int(num_points)
     times = cycle_grid(engine.oscillation_rate(), 0.0, float(t_end), num_points)
-    states = engine.amplitudes(times)
     rho_ee, _, rho_dot = engine.population_sample(times)
-    return Trajectory(
-        params=params, times=times, states=states, rho_ee=rho_ee, rho_dot=rho_dot
-    )
+    return Trajectory(params=params, times=times, rho_ee=rho_ee, rho_dot=rho_dot)

@@ -321,14 +321,9 @@ def _split_parts(beta: float, alpha: float, t: float) -> tuple[complex, complex]
                 "negative eigenvalue with beta <= 2/3: principal branch leaves "
                 "the first sheet; use ml_global instead"
             )
-    if _min_root_angle(beta, [c]) < _MIN_ROOT_ANGLE:
-        raise QuadratureFailure(
-            "cut-integrand root too close to the positive axis for the "
-            "split quadrature; use ml_global instead"
-        )
+    xm, wm, y = _cut_mesh(beta, t, t, [c])
     pole, pref = _residue_factor(beta, 1.0, c)
     osc = cmath.exp(pole * t) * pref
-    xm, wm, y = _cut_mesh(beta, t, t, [c])
     w = _cut_weight_vector(beta, 1.0, c, xm, wm)
     cut = complex(np.exp(-y * t) @ w)
     return osc, cut
@@ -506,6 +501,11 @@ def ml_linear_batch(
                 else:
                     if _has_residue(beta, c):
                         pole, pref = _residue_factor(beta, gamma, c)
+                        if pole.real * t_hi > 700.0:
+                            raise NonConvergence(
+                                f"residue exp({pole.real * t_hi:.3g}) of c = {c!r} "
+                                "exceeds double range"
+                            )
                         v = v + np.exp(pole * t_mesh) * pref
                     v = v * t_mesh ** (1.0 - gamma)
                 out[i, mesh_mask] = v

@@ -332,17 +332,16 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
         raise InvalidParams(f"tau_d must be positive, got {tau_d!r}")
     engine = QubitDynamics(params)
     t0, t1 = float(tau), float(tau + tau_d)
-    ends = np.array([t0, t1])
-    rho_e, rho_g, _ = engine.population_sample(ends)
+    # The window grid starts at t0 and ends at t1, so one sample serves
+    # both the purity and the variation.
+    times = cycle_grid(engine.oscillation_rate(), t0, t1)
+    rho_e, rho_g, rates = engine.population_sample(times)
     chi_tau = np.array([rho_g[0], rho_e[0]])
-    chi_later = np.array([rho_g[1], rho_e[1]])
+    chi_later = np.array([rho_g[-1], rho_e[-1]])
     tr_sq = float(np.sum(chi_tau**2))
     overlap = float(np.sum(chi_later * chi_tau))
     rel_purity = overlap / tr_sq
-
-    times = cycle_grid(engine.oscillation_rate(), t0, t1)
-    rho_w, _, rates_w = engine.population_sample(times)
-    tv = float(_variation_to(engine, times, rho_w, rates_w, times[-1:])[0])
+    tv = float(_variation_to(engine, times, rho_e, rates, times[-1:])[0])
 
     avg_sv = tv / tau_d
     avg_hs = _SQRT2 * avg_sv

@@ -190,8 +190,30 @@ class TestResidual:
         res = tfse_residual(0.5, self.jc_hamiltonian(g), SampledSignal(times, states))
         assert res > 0.1
 
+    def test_nonuniform_grid_checks_every_node(self):
+        beta = 0.5
+        g = 0.5 * math.sqrt(21.0)
+        times = np.unique(
+            np.concatenate([np.geomspace(1e-6, 1e-2, 40), np.linspace(0.0, 1.0, 1500)])
+        )
+        ham = self.jc_hamiltonian(g)
+        sig = SampledSignal(times, self.exact_states(beta, g, times))
+        t_min = 0.05 * times[-1]
+        want = max(
+            np.linalg.norm((1j) ** beta * caputo_derivative(sig, beta, k) - ham @ sig.values[k])
+            for k in range(2, times.size)
+            if times[k] >= t_min
+        )
+        assert tfse_residual(beta, ham, sig) == pytest.approx(want, rel=1e-12)
+
     def test_shape_guard(self):
         times = np.linspace(0.0, 1.0, 33)
         sig = SampledSignal(times, np.zeros((33, 2), dtype=complex))
         with pytest.raises(InvalidParams):
             tfse_residual(0.5, np.zeros((3, 3)), sig)
+
+    def test_requires_sampled_signal(self):
+        times = np.linspace(0.0, 1.0, 33)
+        states = np.zeros((33, 2), dtype=complex)
+        with pytest.raises(InvalidParams):
+            tfse_residual(0.5, self.jc_hamiltonian(1.0), (times, states))

@@ -9,25 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracqsl.errors import (
-    DegenerateState,
-    GridTooCoarse,
-    InvalidOrder,
-    InvalidParams,
-    NotHermitian,
-    StepTooSmall,
-)
+from fracqsl.errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
 from fracqsl.jcmodel import (
     CompositeAmplitudes,
     DensityMatrix2,
     JCParams,
     QubitDynamics,
-    density_derivative,
     evolve,
     interaction_hamiltonian,
     make_trajectory,
     reduced_density,
-    spectral_decomposition,
 )
 
 HALF = math.sqrt(0.5)
@@ -81,37 +72,15 @@ class TestHamiltonian:
         with pytest.raises(InvalidParams):
             interaction_hamiltonian(0.5, -3)
 
-
-class TestSpectral:
     def test_eigensystem_of_coupling_block(self):
-        g = 1.3
-        h = np.array([[0.0, g], [g, 0.0]])
-        evals, evecs = spectral_decomposition(h)
+        # The engine never diagonalizes: it builds in the eigenvalues +-g
+        # and the eigenvector weights (1, +-1)/sqrt(2) of this block.
+        p = JCParams(beta=0.5, lam=0.65, n=3)
+        g = p.coupling
+        evals, evecs = np.linalg.eigh(interaction_hamiltonian(p.lam, p.n))
         assert evals == pytest.approx([-g, g])
-        # First-nonzero-positive convention fixes both columns.
-        assert evecs[:, 0] == pytest.approx(np.array([1.0, -1.0]) / math.sqrt(2.0))
-        assert evecs[:, 1] == pytest.approx(np.array([1.0, 1.0]) / math.sqrt(2.0))
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = m + m.conj().T
-        evals, evecs = spectral_decomposition(h)
-        recon = (evecs * evals) @ evecs.conj().T
-        assert np.allclose(recon, h, atol=1e-12)
-        assert np.all(np.diff(evals) >= 0)
-
-    def test_phase_convention_complex(self):
-        h = np.array([[0.0, 1j], [-1j, 0.0]])
-        _, evecs = spectral_decomposition(h)
-        for k in range(2):
-            pivot = evecs[np.flatnonzero(np.abs(evecs[:, k]) > 1e-12)[0], k]
-            assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-            assert pivot.real > 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            spectral_decomposition(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        assert abs(evecs[:, 0] @ np.array([p.a, -p.b])) == pytest.approx(1.0)
+        assert abs(evecs[:, 1] @ np.array([p.a, p.b])) == pytest.approx(1.0)
 
 
 class TestEvolve:
@@ -233,34 +202,6 @@ class TestEngine:
         assert np.allclose(rho_gg, want, rtol=2e-3)
 
 
-class TestDensityDerivative:
-    def test_analytic_vs_finite_difference(self):
-        p = JCParams(beta=0.7, lam=0.6, n=10)
-        for t in (0.4, 1.2):
-            da = density_derivative(p, t, method="analytic")
-            df = density_derivative(p, t, method="finite_difference")
-            assert abs(np.trace(da)) < 1e-10
-            assert abs(np.trace(df)) < 1e-10
-            assert np.allclose(da, df, atol=5e-6)
-
-    def test_step_guard(self):
-        p = JCParams(beta=0.7, lam=0.6, n=10)
-        with pytest.raises(StepTooSmall):
-            density_derivative(p, 1.0, method="finite_difference", step=1e-16)
-        with pytest.raises(InvalidParams):
-            density_derivative(p, 0.5, method="finite_difference", step=0.6)
-
-    def test_unknown_method(self):
-        p = JCParams(beta=0.7, lam=0.6, n=10)
-        with pytest.raises(InvalidParams):
-            density_derivative(p, 1.0, method="spectral")
-
-    def test_requires_positive_time(self):
-        p = JCParams(beta=0.7, lam=0.6, n=10)
-        with pytest.raises(InvalidParams):
-            density_derivative(p, 0.0)
-
-
 class TestTrajectory:
     def test_default_sampling(self):
         p = JCParams(beta=0.5, lam=0.5, n=20)
@@ -269,7 +210,6 @@ class TestTrajectory:
         assert traj.times[-1] == pytest.approx(3.0)
         assert traj.rho_ee[0] == pytest.approx(1.0)
         assert traj.rho_dot[0] == 0.0
-        assert traj.states.shape == (traj.times.size, 2)
         # Cycle-aware density: omega = g^2 here.
         omega = p.coupling ** 2
         assert traj.times.size >= 2.55 * omega * 3.0
@@ -282,8 +222,9 @@ class TestTrajectory:
     def test_population_consistency(self):
         p = JCParams(beta=0.8, lam=0.4, n=5)
         traj = make_trajectory(p, 2.0, num_points=256)
-        pg = np.abs(traj.states[:, 0]) ** 2
-        pe = np.abs(traj.states[:, 1]) ** 2
+        amps = QubitDynamics(p).amplitudes(traj.times)
+        pg = np.abs(amps[:, 0]) ** 2
+        pe = np.abs(amps[:, 1]) ** 2
         assert np.allclose(traj.rho_ee, pe / (pg + pe), atol=1e-12)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,14 @@ class TestLinearBatch:
     def test_rejects_negative_times(self):
         with pytest.raises(InvalidParams):
             ml_linear_batch(0.5, [(1.0j, 1.0)], np.array([-0.1, 1.0]))
+
+    def test_residue_overflow_is_refused_without_warnings(self):
+        # exp(8**(1/0.3) * 30) is far beyond double range: the mesh route
+        # refuses the residue before numpy overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergence, match="residue"):
+                ml_linear_batch(0.3, [(8.0, 1.0)], [30.0])
 
     @pytest.mark.parametrize("beta", [0.15, 0.25])
     def test_mesh_rows_at_small_order(self, beta):
