@@ -3,8 +3,8 @@
 Layers, bottom up: ``mlfun`` evaluates the two-parameter special
 function that propagates fractional dynamics, ``caputo`` provides the
 fractional derivative and an equation-of-motion residual check,
-``jcmodel`` builds the resonant two-level dynamics, ``qsl`` turns a
-trajectory into speed-limit bounds, and ``sweep`` scans parameters into
+``jcmodel`` builds the resonant two-level dynamics, ``qsl`` turns it
+into speed-limit bounds, and ``sweep`` scans parameters into
 machine-readable tables.  ``cli`` exposes the same layers as the
 ``fracqsl`` command.
 """
@@ -19,21 +19,16 @@ from .errors import (
     InvalidOrder,
     InvalidParams,
     NonConvergence,
-    NotPure,
     QuadratureFailure,
     TooFewPoints,
     UnknownFigure,
 )
 from .jcmodel import (
     CompositeAmplitudes,
-    DensityMatrix2,
     JCParams,
     QubitDynamics,
-    Trajectory,
     evolve,
     interaction_hamiltonian,
-    make_trajectory,
-    reduced_density,
 )
 from .mlfun import (
     MLOrder,
@@ -47,13 +42,10 @@ from .mlfun import (
 from .qsl import (
     MLMTResult,
     QslPoint,
-    bures_overlap_term,
     qsl_curve,
-    qsl_ml,
     qsl_mlmt,
     qsl_point,
     qsl_ratio_formula,
-    schatten_norm,
 )
 from .sweep import (
     CSV_COLUMNS,
@@ -73,7 +65,6 @@ __all__ = [
     "CompositeAmplitudes",
     "CurveRecord",
     "DegenerateState",
-    "DensityMatrix2",
     "FracQslError",
     "GridTooCoarse",
     "InvalidOrder",
@@ -82,37 +73,30 @@ __all__ = [
     "MLMTResult",
     "MLOrder",
     "NonConvergence",
-    "NotPure",
     "QslPoint",
     "QuadratureFailure",
     "QubitDynamics",
     "SampledSignal",
     "SweepSpec",
     "TooFewPoints",
-    "Trajectory",
     "UnknownFigure",
-    "bures_overlap_term",
     "caputo_derivative",
     "caputo_derivative_all",
     "detect_revivals",
     "evolve",
     "figure_preset",
     "interaction_hamiltonian",
-    "make_trajectory",
     "ml_global",
     "ml_linear_batch",
     "ml_series",
     "ml_split",
     "ml_time_derivative",
     "qsl_curve",
-    "qsl_ml",
     "qsl_mlmt",
     "qsl_point",
     "qsl_ratio_formula",
-    "reduced_density",
     "run_figure",
     "run_sweep",
-    "schatten_norm",
     "series_radius",
     "write_records",
 ]

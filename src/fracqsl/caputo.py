@@ -54,12 +54,12 @@ class SampledSignal:
             raise InvalidParams(f"time grid must start at 0, got {times[0]!r}")
         if np.any(np.diff(times) <= 0.0):
             raise InvalidParams("times must be strictly increasing")
+        if values.ndim not in (1, 2):
+            raise InvalidParams("values must have shape (n,) or (n, d)")
         if values.shape[0] != times.size:
             raise InvalidParams(
                 f"values first axis ({values.shape[0]}) must match times ({times.size})"
             )
-        if values.ndim not in (1, 2):
-            raise InvalidParams("values must have shape (n,) or (n, d)")
         if not np.all(np.isfinite(values.real)) or not np.all(
             np.isfinite(np.asarray(values, dtype=complex).imag)
         ):

@@ -42,10 +42,6 @@ class DegenerateState(FracQslError, ArithmeticError):
     """State normalization vanished; populations are undefined."""
 
 
-class NotPure(FracQslError, ValueError):
-    """Density matrix is not rank one within tolerance."""
-
-
 class UnknownFigure(FracQslError, KeyError):
     """Figure preset identifier is not recognized."""
 

@@ -26,13 +26,9 @@ from .mlfun import MLOrder, ml_global, ml_linear_batch
 __all__ = [
     "JCParams",
     "CompositeAmplitudes",
-    "DensityMatrix2",
-    "Trajectory",
     "QubitDynamics",
     "interaction_hamiltonian",
     "evolve",
-    "reduced_density",
-    "make_trajectory",
     "cycle_grid",
 ]
 
@@ -106,67 +102,6 @@ class CompositeAmplitudes:
     c_e: complex
 
 
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """Diagonal qubit density matrix with validated structure."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidParams(f"density matrix must be 2x2, got shape {m.shape}")
-        if m[0, 1] != 0 or m[1, 0] != 0:
-            raise InvalidParams("density matrix must be diagonal in this model")
-        if abs(m[0, 0].imag) > 0 or abs(m[1, 1].imag) > 0:
-            raise InvalidParams("diagonal entries must be real")
-        if m[0, 0].real < -1e-12 or m[1, 1].real < -1e-12:
-            raise InvalidParams("diagonal entries must be nonnegative")
-        if abs(m[0, 0].real + m[1, 1].real - 1.0) > 1e-12:
-            raise InvalidParams("trace must equal 1")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def p_ground(self) -> float:
-        return float(self.matrix[0, 0].real)
-
-    @property
-    def p_excited(self) -> float:
-        return float(self.matrix[1, 1].real)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled dynamics: excited-state population and its rate on a grid.
-
-    ``rho_dot[0]`` is stored as 0 by convention; for beta < 1 the
-    population rate can diverge at t = 0 and no consumer reads it there.
-    """
-
-    params: JCParams
-    times: np.ndarray
-    rho_ee: np.ndarray
-    rho_dot: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        rho_ee = np.asarray(self.rho_ee, dtype=float)
-        rho_dot = np.asarray(self.rho_dot, dtype=float)
-        if times.ndim != 1 or times.size < 16:
-            raise GridTooCoarse("trajectory needs at least 16 nodes")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-            raise InvalidParams("times must increase strictly from 0")
-        if rho_ee.shape != times.shape or rho_dot.shape != times.shape:
-            raise InvalidParams("population arrays must match the time grid")
-        if not (np.all(np.isfinite(rho_ee)) and np.all(np.isfinite(rho_dot))):
-            raise InvalidParams("trajectory samples must be finite")
-        if np.any(rho_ee < -1e-12) or np.any(rho_ee > 1.0 + 1e-12):
-            raise InvalidParams("rho_ee must lie in [0, 1]")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "rho_ee", rho_ee)
-        object.__setattr__(self, "rho_dot", rho_dot)
-
-
 def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
     """Resonant coupling block in the {|g, n+1>, |e, n>} basis.
 
@@ -174,7 +109,7 @@ def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
     """
     if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise InvalidParams(f"lam must lie in [0, 1], got {lam!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
     g = lam * math.sqrt(n + 1.0)
     return np.array([[0.0, g], [g, 0.0]], dtype=complex)
@@ -237,7 +172,7 @@ class QubitDynamics:
 
         All four Mittag-Leffler rows reuse the same quadrature mesh, so
         sampling value and rate together costs one pass.  Rate entries at
-        t = 0 are set to 0 by the trajectory convention.
+        t = 0 are set to 0: for beta < 1 the rate can diverge there.
 
         Quotient rule on rho_ee = u / (u + v) gives the rate
         (u' v - u v') / (u + v)**2 with u, v the unnormalized weights.
@@ -302,36 +237,23 @@ def evolve(params: JCParams, tau: float) -> CompositeAmplitudes:
     return CompositeAmplitudes(c_g=a * b * (e2 - e1), c_e=b * b * (e2 + e1))
 
 
-def reduced_density(amps: CompositeAmplitudes) -> DensityMatrix2:
-    """Qubit density matrix after tracing the cavity: diag(p_g, p_e)."""
-    pg = abs(amps.c_g) ** 2
-    pe = abs(amps.c_e) ** 2
-    norm = pg + pe
-    if norm < 1e-300:
-        raise DegenerateState("amplitudes vanish; reduced state undefined")
-    return DensityMatrix2(np.diag([pg / norm, pe / norm]).astype(complex))
-
-
-def cycle_grid(
-    omega: float, t_start: float, t_end: float, count: int | None = None
-) -> np.ndarray:
+def cycle_grid(omega: float, t_start: float, t_end: float) -> np.ndarray:
     """Sampling grid on [t_start, t_end] for a population cycling at rate omega.
 
-    By default the node count is 2.55 per radian of the cycle, at least
-    600, so that every extremum of the population is bracketed; a window
-    that would need more than 60000 nodes raises GridTooCoarse rather
-    than alias its extrema.  A window starting at 0 gets a geometric
-    head that resolves the t**(2*beta) short-time layer a uniform grid
-    would step over.
+    The node count is 2.55 per radian of the cycle, at least 600, so
+    that every extremum of the population is bracketed; a window that
+    would need more than 60000 nodes raises GridTooCoarse rather than
+    alias its extrema.  A window starting at 0 gets a geometric head
+    that resolves the t**(2*beta) short-time layer a uniform grid would
+    step over.
     """
-    if count is None:
-        wanted = math.ceil(_NODES_PER_RADIAN * omega * (t_end - t_start))
-        if wanted > _MAX_GRID:
-            raise GridTooCoarse(
-                f"window of {omega * (t_end - t_start):.4g} rad needs {wanted} grid "
-                f"nodes, above the {_MAX_GRID}-node cap"
-            )
-        count = max(wanted, _MIN_GRID)
+    wanted = math.ceil(_NODES_PER_RADIAN * omega * (t_end - t_start))
+    if wanted > _MAX_GRID:
+        raise GridTooCoarse(
+            f"window of {omega * (t_end - t_start):.4g} rad needs {wanted} grid "
+            f"nodes, above the {_MAX_GRID}-node cap"
+        )
+    count = max(wanted, _MIN_GRID)
     body = np.linspace(t_start, t_end, count)
     if t_start > 0.0:
         return body
@@ -342,24 +264,3 @@ def cycle_grid(
         x *= 3.0
     return np.unique(np.concatenate([body, np.asarray(head)]))
 
-
-def make_trajectory(
-    params: JCParams,
-    t_end: float,
-    num_points: int | None = None,
-) -> Trajectory:
-    """Sample the excited-state population and its rate on [0, t_end].
-
-    The default node count is that of ``cycle_grid``; an explicit
-    ``num_points`` below 16 raises GridTooCoarse.
-    """
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
-        raise InvalidParams(f"t_end must be positive, got {t_end!r}")
-    engine = QubitDynamics(params)
-    if num_points is not None:
-        if num_points < 16:
-            raise GridTooCoarse(f"trajectory needs at least 16 points, got {num_points}")
-        num_points = int(num_points)
-    times = cycle_grid(engine.oscillation_rate(), 0.0, float(t_end), num_points)
-    rho_ee, _, rho_dot = engine.population_sample(times)
-    return Trajectory(params=params, times=times, rho_ee=rho_ee, rho_dot=rho_dot)

@@ -501,10 +501,13 @@ def ml_linear_batch(
                 else:
                     if _has_residue(beta, c):
                         pole, pref = _residue_factor(beta, gamma, c)
-                        if pole.real * t_hi > 700.0:
+                        # Bound the whole term exp(pole*t) * pref * t**(1-gamma):
+                        # a large prefactor overflows it below the exponent bound.
+                        size = pole.real * t_hi + math.log(abs(pref))
+                        size += max(0.0, (1.0 - gamma) * math.log(t_hi))
+                        if pole.real * t_hi > 700.0 or size > 709.0:
                             raise NonConvergence(
-                                f"residue exp({pole.real * t_hi:.3g}) of c = {c!r} "
-                                "exceeds double range"
+                                f"residue e**{size:.4g} of c = {c!r} exceeds double range"
                             )
                         v = v + np.exp(pole * t_mesh) * pref
                     v = v * t_mesh ** (1.0 - gamma)

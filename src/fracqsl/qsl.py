@@ -31,17 +31,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn
 
-from .errors import InvalidParams, NotPure
-from .jcmodel import JCParams, QubitDynamics, Trajectory, cycle_grid, evolve, reduced_density
+from .errors import DegenerateState, InvalidParams
+from .jcmodel import JCParams, QubitDynamics, cycle_grid, evolve
 
 __all__ = [
     "QslPoint",
     "MLMTResult",
-    "schatten_norm",
-    "bures_overlap_term",
     "qsl_curve",
     "qsl_point",
-    "qsl_ml",
     "qsl_mlmt",
     "qsl_ratio_formula",
 ]
@@ -109,50 +106,6 @@ class MLMTResult:
             raise InvalidParams(f"tau_qsl must be nonnegative, got {self.tau_qsl!r}")
         if self.avg_sv < 0.0 or self.avg_hs < 0.0:
             raise InvalidParams("averaged norms must be nonnegative")
-
-
-def schatten_norm(matrix: np.ndarray, kind: str) -> float:
-    """Schatten norm of a 2x2 matrix: 'tr', 'hs', or 'op'.
-
-    Uses the closed-form singular values of the 2x2 Gram matrix, so no
-    iterative factorization is involved.  The entries are divided by the
-    largest magnitude first, so the squares neither underflow nor overflow.
-    """
-    if kind not in ("tr", "hs", "op"):
-        raise InvalidParams(f"unknown norm kind {kind!r}")
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidParams(f"matrix must be 2x2, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise InvalidParams("matrix entries must be finite")
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return 0.0
-    m = m / scale
-    tr_gram = float(np.sum(np.abs(m) ** 2))
-    abs_det = abs(complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-    if kind == "hs":
-        return scale * math.sqrt(tr_gram)
-    if kind == "tr":
-        return scale * math.sqrt(max(tr_gram + 2.0 * abs_det, 0.0))
-    # Largest singular value from the Gram eigenvalues.
-    disc = max(tr_gram * tr_gram - 4.0 * abs_det * abs_det, 0.0)
-    return scale * math.sqrt(0.5 * (tr_gram + math.sqrt(disc)))
-
-
-def bures_overlap_term(rho0: np.ndarray, rho_tau: np.ndarray) -> float:
-    """sin^2 of the Bures angle from a pure start: |tr(rho0 rho_tau) - 1|."""
-    r0 = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
-    rt = np.asarray(getattr(rho_tau, "matrix", rho_tau), dtype=complex)
-    for name, r in (("rho0", r0), ("rho_tau", rt)):
-        if r.shape != (2, 2):
-            raise InvalidParams(f"{name} must be 2x2, got shape {r.shape}")
-        if abs(complex(np.trace(r)) - 1.0) > 1e-10:
-            raise InvalidParams(f"{name} must have unit trace")
-    purity = float(np.real(np.trace(r0 @ r0)))
-    if purity < 1.0 - 1e-10:
-        raise NotPure(f"rho0 purity {purity!r} is below the pure-state tolerance")
-    return abs(complex(np.trace(r0 @ rt)) - 1.0)
 
 
 def _refine_crossings(
@@ -307,16 +260,6 @@ def qsl_point(params: JCParams, tau: float) -> QslPoint:
     return qsl_curve(params, [tau])[0]
 
 
-def qsl_ml(trajectory: Trajectory) -> QslPoint:
-    """Speed-limit ratios from a precomputed trajectory."""
-    engine = QubitDynamics(trajectory.params)
-    times = trajectory.times
-    rho_ee = trajectory.rho_ee
-    tv = _variation_to(engine, times, rho_ee, trajectory.rho_dot, times[-1:])[0]
-    sin2 = abs(rho_ee[-1] - 1.0)
-    return _point_from_variation(float(times[-1]), float(sin2), float(tv))
-
-
 def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
     """Window bound from the relative purity drop across [tau, tau+tau_d].
 
@@ -360,8 +303,8 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
 def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     """Operator-norm bound ratio through the closed-form route.
 
-    Numerator: sin^2(B) is the ground population of ``reduced_density``
-    applied to ``evolve(params, tau)``, the scalar route that takes each
+    Numerator: sin^2(B) is the ground population |c_g|^2 / (|c_g|^2 +
+    |c_e|^2) of ``evolve(params, tau)``, the scalar route that takes each
     eigenfactor E_beta(+-g (-i tau)**beta) from its own ``ml_global``
     call.  With P = |E2|^2 + |E1|^2 and R = 2 Re(E2 conj(E1)) this is
 
@@ -382,7 +325,12 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     if g == 0.0:
         return 0.0
 
-    numer = reduced_density(evolve(params, tau)).p_ground
+    amps = evolve(params, tau)
+    pg = abs(amps.c_g) ** 2
+    norm = pg + abs(amps.c_e) ** 2
+    if norm < 1e-300:
+        raise DegenerateState("amplitudes vanish; reduced state undefined")
+    numer = pg / norm
 
     times = cycle_grid(engine.oscillation_rate(), 0.0, tau)
     _, _, rates = engine.population_sample(times)

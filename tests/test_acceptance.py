@@ -18,7 +18,7 @@ import pytest
 from scipy.special import erfc
 
 from fracqsl.caputo import SampledSignal, tfse_residual
-from fracqsl.jcmodel import JCParams, QubitDynamics, interaction_hamiltonian, make_trajectory
+from fracqsl.jcmodel import JCParams, QubitDynamics, interaction_hamiltonian
 from fracqsl.mlfun import (
     MLOrder,
     ml_global,
@@ -27,7 +27,7 @@ from fracqsl.mlfun import (
     ml_time_derivative,
     series_radius,
 )
-from fracqsl.qsl import qsl_ml, qsl_point, qsl_ratio_formula
+from fracqsl.qsl import qsl_point, qsl_ratio_formula
 from fracqsl.sweep import SweepSpec, detect_revivals, figure_preset, run_figure, run_sweep
 
 
@@ -166,7 +166,7 @@ def test_criterion_07_norm_ordering_on_presets():
 
 
 def test_criterion_08_algebraic_ratio_route():
-    """The closed-form ratio agrees with the trajectory pipeline."""
+    """The closed-form ratio agrees with the pipeline."""
     rng = np.random.default_rng(20240817)
     accepted = 0
     worst = 0.0
@@ -186,7 +186,7 @@ def test_criterion_08_algebraic_ratio_route():
         else:
             a = b = math.sqrt(0.5)
         params = JCParams(beta=beta, lam=lam, n=n, a=a, b=b)
-        pipeline = qsl_ml(make_trajectory(params, tau))
+        pipeline = qsl_point(params, tau)
         formula = qsl_ratio_formula(params, tau)
         diff = abs(pipeline.ratio_op - formula)
         worst = max(worst, diff)

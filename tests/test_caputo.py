@@ -38,8 +38,12 @@ class TestSignalValidation:
             SampledSignal(np.array([0.0, 0.2, 0.2]), np.zeros(3))
 
     def test_shape_mismatch(self):
-        with pytest.raises(InvalidParams):
-            SampledSignal(np.array([0.0, 0.1]), np.zeros(3))
+        for times, values in [
+            (np.array([0.0, 0.1]), np.zeros(3)),
+            (np.array([0.0, 1.0, 2.0]), 5.0),
+        ]:
+            with pytest.raises(InvalidParams):
+                SampledSignal(times, values)
 
     def test_minimum_nodes(self):
         with pytest.raises(InvalidParams):

@@ -37,3 +37,23 @@ def test_no_private_names_from_sibling_modules():
         if alias.name.startswith("_")
     ]
     assert not found, f"private names imported from sibling modules: {found}"
+
+
+
+def test_every_error_class_is_raised():
+    # A typed error that nothing raises promises a failure mode the
+    # library no longer has; delete the class with its last raiser.
+    errors = next(p for p in SOURCES if p.name == "errors.py")
+    declared = {
+        node.name
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name != "FracQslError"
+    }
+    raised = set()
+    for _, node in _nodes():
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    assert declared
+    assert not declared - raised, f"error classes never raised: {sorted(declared - raised)}"

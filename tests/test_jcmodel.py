@@ -6,20 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fracqsl.errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
-from fracqsl.jcmodel import (
-    CompositeAmplitudes,
-    DensityMatrix2,
-    JCParams,
-    QubitDynamics,
-    evolve,
-    interaction_hamiltonian,
-    make_trajectory,
-    reduced_density,
-)
+from fracqsl.errors import DegenerateState, InvalidOrder, InvalidParams
+from fracqsl.jcmodel import JCParams, QubitDynamics, cycle_grid, evolve, interaction_hamiltonian
 
 HALF = math.sqrt(0.5)
 
@@ -71,6 +60,8 @@ class TestHamiltonian:
             interaction_hamiltonian(2.0, 1)
         with pytest.raises(InvalidParams):
             interaction_hamiltonian(0.5, -3)
+        with pytest.raises(InvalidParams):
+            interaction_hamiltonian(0.5, True)
 
     def test_eigensystem_of_coupling_block(self):
         # The engine never diagonalizes: it builds in the eigenvalues +-g
@@ -103,9 +94,9 @@ class TestEvolve:
         # g = 0.5*sqrt(21), tau = 1, beta = 1: population cos(g)^2.
         p = JCParams(beta=1.0, lam=0.5, n=20)
         amps = evolve(p, 1.0)
-        rho = reduced_density(amps)
+        p_excited = abs(amps.c_e) ** 2 / (abs(amps.c_g) ** 2 + abs(amps.c_e) ** 2)
         assert amps.c_e.real == pytest.approx(-0.659754120370861, abs=1e-12)
-        assert rho.p_excited == pytest.approx(0.43527549934632853, abs=1e-12)
+        assert p_excited == pytest.approx(0.43527549934632853, abs=1e-12)
 
     def test_negative_time_rejected(self):
         p = JCParams(beta=0.5, lam=0.5, n=2)
@@ -121,24 +112,6 @@ class TestEvolve:
             amps = evolve(p, float(t))
             assert abs(batch[k, 0] - amps.c_g) < 5e-10
             assert abs(batch[k, 1] - amps.c_e) < 5e-10
-
-
-class TestReducedDensity:
-    def test_structure(self):
-        rho = reduced_density(CompositeAmplitudes(0.3 + 0.1j, 0.8))
-        m = rho.matrix
-        assert m[0, 1] == 0 and m[1, 0] == 0
-        assert m[0, 0].real + m[1, 1].real == pytest.approx(1.0)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateState):
-            reduced_density(CompositeAmplitudes(0.0, 0.0))
-
-    def test_density_validation(self):
-        with pytest.raises(InvalidParams):
-            DensityMatrix2(np.array([[0.5, 0.1], [0.1, 0.5]]))
-        with pytest.raises(InvalidParams):
-            DensityMatrix2(np.diag([0.7, 0.7]))
 
 
 class TestEngine:
@@ -201,46 +174,27 @@ class TestEngine:
         want = (g * ts**0.6 / math.gamma(1.6)) ** 2
         assert np.allclose(rho_gg, want, rtol=2e-3)
 
+    def test_population_consistency(self):
+        p = JCParams(beta=0.8, lam=0.4, n=5)
+        engine = QubitDynamics(p)
+        times = cycle_grid(engine.oscillation_rate(), 0.0, 2.0)
+        rho_ee, _, _ = engine.population_sample(times)
+        amps = engine.amplitudes(times)
+        pg = np.abs(amps[:, 0]) ** 2
+        pe = np.abs(amps[:, 1]) ** 2
+        assert np.allclose(rho_ee, pe / (pg + pe), atol=1e-12)
+
 
 class TestTrajectory:
     def test_default_sampling(self):
         p = JCParams(beta=0.5, lam=0.5, n=20)
-        traj = make_trajectory(p, 3.0)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(3.0)
-        assert traj.rho_ee[0] == pytest.approx(1.0)
-        assert traj.rho_dot[0] == 0.0
+        engine = QubitDynamics(p)
+        times = cycle_grid(engine.oscillation_rate(), 0.0, 3.0)
+        rho_ee, _, rate = engine.population_sample(times)
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(3.0)
+        assert rho_ee[0] == pytest.approx(1.0)
+        assert rate[0] == 0.0
         # Cycle-aware density: omega = g^2 here.
         omega = p.coupling ** 2
-        assert traj.times.size >= 2.55 * omega * 3.0
-
-    def test_minimum_points(self):
-        p = JCParams(beta=0.5, lam=0.5, n=20)
-        with pytest.raises(GridTooCoarse):
-            make_trajectory(p, 1.0, num_points=8)
-
-    def test_population_consistency(self):
-        p = JCParams(beta=0.8, lam=0.4, n=5)
-        traj = make_trajectory(p, 2.0, num_points=256)
-        amps = QubitDynamics(p).amplitudes(traj.times)
-        pg = np.abs(amps[:, 0]) ** 2
-        pe = np.abs(amps[:, 1]) ** 2
-        assert np.allclose(traj.rho_ee, pe / (pg + pe), atol=1e-12)
-
-
-class TestDensityPropertySampled:
-    @given(
-        beta=st.floats(0.1, 1.0),
-        lam=st.floats(0.0, 1.0),
-        n=st.integers(0, 40),
-        t=st.floats(0.0, 3.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_reduced_density_is_diagonal_unit_trace_psd(self, beta, lam, n, t):
-        params = JCParams(beta=beta, lam=lam, n=n)
-        rho = reduced_density(evolve(params, t))
-        m = rho.matrix
-        assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-        assert m[0, 0].imag == 0.0 and m[1, 1].imag == 0.0
-        assert m[0, 0].real >= -1e-12 and m[1, 1].real >= -1e-12
-        assert abs(m[0, 0].real + m[1, 1].real - 1.0) <= 1e-12
+        assert times.size >= 2.55 * omega * 3.0

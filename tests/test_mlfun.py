@@ -316,6 +316,20 @@ class TestLinearBatch:
             with pytest.raises(NonConvergence, match="residue"):
                 ml_linear_batch(0.3, [(8.0, 1.0)], [30.0])
 
+    def test_residue_prefactor_overflow_is_refused(self):
+        # exp(699) fits in double range, but the gamma = beta prefactor
+        # pole**(1 - beta) / beta ~ 9e4 carries the product past it; the
+        # gamma = 1 row at the same time stays finite.
+        c = 2e6**0.3
+        t = [699.0 / 2e6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ml_linear_batch(0.3, [(c, 1.0)], t)[0, 0].real == pytest.approx(
+                1.2437e304, rel=1e-4
+            )
+            with pytest.raises(NonConvergence, match="residue"):
+                ml_linear_batch(0.3, [(c, 0.3)], t)
+
     @pytest.mark.parametrize("beta", [0.15, 0.25])
     def test_mesh_rows_at_small_order(self, beta):
         # gamma = beta and gamma = 1 rows below beta 0.3, on the cut mesh at

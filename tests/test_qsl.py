@@ -9,19 +9,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracqsl.errors import GridTooCoarse, InvalidParams, NotPure
-from fracqsl.jcmodel import JCParams, QubitDynamics, make_trajectory, reduced_density, evolve
-from fracqsl.qsl import (
-    MLMTResult,
-    QslPoint,
-    bures_overlap_term,
-    qsl_curve,
-    qsl_ml,
-    qsl_mlmt,
-    qsl_point,
-    qsl_ratio_formula,
-    schatten_norm,
-)
+from fracqsl import jcmodel
+from fracqsl.errors import GridTooCoarse, InvalidParams
+from fracqsl.jcmodel import JCParams
+from fracqsl.qsl import MLMTResult, QslPoint, qsl_curve, qsl_mlmt, qsl_point, qsl_ratio_formula
+
+
+# (beta, s1): first extremum of the eigenweighted unit-coupling population
+# in scaled time g**(1/beta) * tau; pi/2 is the Rabi quarter period.
+FIRST_EXTREMUM = [
+    (0.2, 3.112996588900212),
+    (0.5, 2.2974395736081386),
+    (0.8, 1.5396049216536074),
+    (1.0, math.pi / 2),
+]
 
 
 def rabi_variation(g: float, tau: float) -> float:
@@ -29,71 +30,6 @@ def rabi_variation(g: float, tau: float) -> float:
     x = 2.0 * g * tau
     m = math.floor(x / math.pi)
     return 0.5 * (2.0 * m + 1.0 - math.cos(x - m * math.pi))
-
-
-class TestSchattenNorm:
-    def test_against_svd(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            s = np.linalg.svd(m, compute_uv=False)
-            assert schatten_norm(m, "op") == pytest.approx(s[0], rel=1e-12)
-            assert schatten_norm(m, "hs") == pytest.approx(
-                math.sqrt(float(np.sum(s**2))), rel=1e-12
-            )
-            assert schatten_norm(m, "tr") == pytest.approx(float(np.sum(s)), rel=1e-12)
-
-    def test_diagonal_rate_matrix(self):
-        # The bound routines rely on these closed forms for diag(-r, r);
-        # include population rates of a real trajectory.
-        engine = QubitDynamics(JCParams(beta=0.5, lam=0.5, n=20))
-        sampled = engine.population_sample(np.linspace(0.0, 2.0, 9))[2][1:]
-        for r in [0.0, 1e-300, 1e-160, -0.37, 1e3, 1e200, *sampled]:
-            m = np.diag([-r, r])
-            assert schatten_norm(m, "op") == pytest.approx(abs(r), rel=1e-14)
-            assert schatten_norm(m, "hs") == pytest.approx(math.sqrt(2.0) * abs(r), rel=1e-14)
-            assert schatten_norm(m, "tr") == pytest.approx(2.0 * abs(r), rel=1e-14)
-        # Without the absolute floor a vanished norm cannot pass for 1e-300.
-        tiny = np.diag([-1e-300, 1e-300])
-        assert schatten_norm(tiny, "op") == pytest.approx(1e-300, rel=1e-14, abs=0.0)
-        assert schatten_norm(tiny, "tr") == pytest.approx(2e-300, rel=1e-14, abs=0.0)
-
-    def test_ordering(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            op = schatten_norm(m, "op")
-            hs = schatten_norm(m, "hs")
-            tr = schatten_norm(m, "tr")
-            assert op <= hs + 1e-12 <= tr + 2e-12
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(InvalidParams):
-            schatten_norm(np.zeros((3, 3)), "op")
-        with pytest.raises(InvalidParams):
-            schatten_norm(np.zeros((2, 2)), "nuclear")
-
-
-class TestBuresTerm:
-    def test_excited_start(self):
-        rho0 = np.diag([0.0, 1.0])
-        rho_tau = np.diag([0.3, 0.7])
-        assert bures_overlap_term(rho0, rho_tau) == pytest.approx(0.3, abs=1e-14)
-
-    def test_accepts_model_density(self):
-        p = JCParams(beta=1.0, lam=0.5, n=20)
-        rho_tau = reduced_density(evolve(p, 1.0))
-        rho0 = reduced_density(evolve(p, 0.0))
-        got = bures_overlap_term(rho0, rho_tau)
-        assert got == pytest.approx(math.sin(p.coupling) ** 2, abs=1e-12)
-
-    def test_rejects_mixed_start(self):
-        with pytest.raises(NotPure):
-            bures_overlap_term(np.diag([0.5, 0.5]), np.diag([0.3, 0.7]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(InvalidParams):
-            bures_overlap_term(np.diag([0.0, 0.9]), np.diag([0.3, 0.7]))
 
 
 class TestPointValidation:
@@ -159,6 +95,13 @@ class TestGeometricBound:
         assert pt.lambda_hs == pytest.approx(math.sqrt(2.0) * pt.lambda_op, rel=1e-14)
         assert pt.lambda_tr == pytest.approx(2.0 * pt.lambda_op, rel=1e-14)
         assert pt.lambda_op <= pt.lambda_hs <= pt.lambda_tr
+        # Those multiples are the trace, HS and operator norms of the rate
+        # matrix diag(-r, r) of a diagonal qubit state.
+        for r in (pt.lambda_op, -0.37, 1e3):
+            sv = np.linalg.svd(np.diag([-r, r]), compute_uv=False)
+            norms = (float(np.sum(sv)), math.hypot(*sv), float(sv[0]))
+            want = (2.0 * abs(r), math.sqrt(2.0) * abs(r), abs(r))
+            assert norms == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_zero_coupling_point(self):
         pt = qsl_point(JCParams(beta=0.5, lam=0.0, n=4), 1.0)
@@ -213,21 +156,22 @@ class TestGeometricBound:
         assert pt.ratio_op == pytest.approx(unit.ratio_op, rel=0.0, abs=1e-10)
         assert pt.lambda_op == pytest.approx(scale * unit.lambda_op, rel=1e-10, abs=0.0)
 
-
-class TestTrajectoryBound:
-    def test_matches_direct_point(self):
-        p = JCParams(beta=0.5, lam=0.5, n=20)
-        traj = make_trajectory(p, 1.3)
-        pt_traj = qsl_ml(traj)
-        pt_direct = qsl_point(p, 1.3)
-        assert pt_traj.ratio_op == pytest.approx(pt_direct.ratio_op, abs=1e-10)
-        assert pt_traj.lambda_op == pytest.approx(pt_direct.lambda_op, abs=1e-10)
-
-    def test_max_rule_identifies_op(self):
-        p = JCParams(beta=0.8, lam=0.6, n=10)
-        traj = make_trajectory(p, 2.0)
-        pt = qsl_ml(traj)
-        assert pt.ratio_max == pt.ratio_op
+    @settings(max_examples=30, deadline=None)
+    @given(
+        order=st.sampled_from(FIRST_EXTREMUM),
+        lam=st.floats(0.05, 1.0),
+        n=st.integers(0, 40),
+    )
+    def test_acceleration_condition(self, order, lam, n):
+        # The bound is saturated (ratio 1) exactly until the scaled time
+        # g**(1/beta) * tau reaches the unit curve's first extremum s1.
+        beta, s1 = order
+        p = JCParams(beta=beta, lam=lam, n=n)
+        scale = p.coupling ** (1.0 / beta)
+        below, above = 0.97 * s1 / scale, 1.03 * s1 / scale
+        assume(1e-3 <= below and above <= 1e3)
+        assert qsl_point(p, below).ratio_op == 1.0
+        assert qsl_point(p, above).ratio_op < 1.0
 
 
 class TestWindowBound:
@@ -288,7 +232,7 @@ class TestFormulaRoute:
 
 
 class TestGridStability:
-    def test_ratio_invariant_under_grid_doubling(self):
+    def test_ratio_invariant_under_grid_doubling(self, monkeypatch):
         # Extrema are refined to bracket convergence, so the ratio must
         # not depend on the initial sampling density.
         cases = [
@@ -296,12 +240,13 @@ class TestGridStability:
             (JCParams(beta=0.8, lam=0.9, n=40), 2.0),
             (JCParams(beta=0.3, lam=0.4, n=5), 1.5),
         ]
-        for params, tau in cases:
-            omega = params.coupling ** (1.0 / params.beta)
-            base_n = max(600, int(math.ceil(2.55 * omega * tau)))
-            coarse = qsl_ml(make_trajectory(params, tau, num_points=base_n))
-            dense = qsl_ml(make_trajectory(params, tau, num_points=2 * base_n))
-            assert abs(coarse.ratio_op - dense.ratio_op) < 1e-10
+        coarse = [qsl_point(params, tau) for params, tau in cases]
+        monkeypatch.setattr(jcmodel, "_NODES_PER_RADIAN", 5.1)
+        monkeypatch.setattr(jcmodel, "_MIN_GRID", 1200)
+        assert jcmodel.cycle_grid(1.0, 0.0, 1.0).size >= 1200
+        dense = [qsl_point(params, tau) for params, tau in cases]
+        for c, d in zip(coarse, dense):
+            assert abs(c.ratio_op - d.ratio_op) < 1e-10
 
     def test_grid_cap_raises(self):
         # g**(1/beta) * tau ~ 4.3e5 rad needs ~1.1e6 nodes to bracket every
@@ -311,5 +256,3 @@ class TestGridStability:
             qsl_point(p, 1.0)
         with pytest.raises(GridTooCoarse):
             qsl_ratio_formula(p, 1.0)
-        with pytest.raises(GridTooCoarse):
-            make_trajectory(p, 1.0)
