@@ -16,6 +16,7 @@ consumers flag that case in their metadata.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,22 @@ __all__ = [
     "interaction_hamiltonian",
     "evolve",
     "cycle_grid",
+    "cycle_lattice",
+    "scaled_time",
 ]
 
 _HALF_SQRT2 = math.sqrt(0.5)
-# Grid nodes per radian of the population cycle when bracketing extrema.
+# Grid nodes per radian of the population cycle when bracketing extrema:
+# the lattice step is 1 / 2.55 rad.
 _NODES_PER_RADIAN = 2.55
-_MIN_GRID = 600
+# Geometric head below the first lattice step, each node a third of the next.
+_HEAD_NODES = 20
 _MAX_GRID = 60000
+
+
+def _real(value) -> bool:
+    """An int or float that is not a bool (True would pass as 1)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,24 +65,16 @@ class JCParams:
     b: float = _HALF_SQRT2
 
     def __post_init__(self) -> None:
-        if not (
-            isinstance(self.beta, (int, float))
-            and math.isfinite(self.beta)
-            and 0.0 < self.beta <= 1.0
-        ):
+        if not (_real(self.beta) and math.isfinite(self.beta) and 0.0 < self.beta <= 1.0):
             raise InvalidOrder(f"beta must lie in (0, 1], got {self.beta!r}")
-        if not (
-            isinstance(self.lam, (int, float))
-            and math.isfinite(self.lam)
-            and 0.0 <= self.lam <= 1.0
-        ):
+        if not (_real(self.lam) and math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
             raise InvalidParams(f"lam must lie in [0, 1], got {self.lam!r}")
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise InvalidParams(f"n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise InvalidParams(f"n must be nonnegative, got {self.n!r}")
         for name, w in (("a", self.a), ("b", self.b)):
-            if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 <= w <= 1.0):
+            if not (_real(w) and math.isfinite(w) and 0.0 <= w <= 1.0):
                 raise InvalidParams(f"{name} must lie in [0, 1], got {w!r}")
         if abs(self.a**2 + self.b**2 - 1.0) > 1e-12:
             raise InvalidParams(
@@ -107,7 +109,7 @@ def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
 
     Both off-diagonal entries equal lam * sqrt(n+1).
     """
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+    if isinstance(lam, bool) or not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise InvalidParams(f"lam must lie in [0, 1], got {lam!r}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
@@ -224,7 +226,7 @@ def evolve(params: JCParams, tau: float) -> CompositeAmplitudes:
     Scalar route: each eigenfactor is an independent ``ml_global`` call,
     so this does not share state with the vectorized engine.
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0.0):
+    if not (_real(tau) and math.isfinite(tau) and tau >= 0.0):
         raise InvalidParams(f"tau must be nonnegative, got {tau!r}")
     beta = params.beta
     g = params.coupling
@@ -237,30 +239,80 @@ def evolve(params: JCParams, tau: float) -> CompositeAmplitudes:
     return CompositeAmplitudes(c_g=a * b * (e2 - e1), c_e=b * b * (e2 + e1))
 
 
+def _check_nodes(span: float) -> None:
+    """Refuse a window of ``span`` radians that needs more than the node cap."""
+    wanted = math.ceil(_NODES_PER_RADIAN * span)
+    if wanted > _MAX_GRID:
+        raise GridTooCoarse(
+            f"window of {span:.4g} rad needs {wanted} grid "
+            f"nodes, above the {_MAX_GRID}-node cap"
+        )
+
+
+def scaled_time(params: JCParams, tau: float) -> float:
+    """Time s = g**(1/beta) * tau on the unit-coupling curve.
+
+    The coupling enters the dynamics only through g**(1/beta) * t, so the
+    state at (params, tau) is the state of JCParams(beta, 1, 0, a, b) at s.
+    Raises GridTooCoarse when bracketing the extrema up to s would need
+    more than the grid's node cap, and InvalidParams when a nonzero
+    coupling underflows s to a subnormal number.
+    """
+    if not (_real(tau) and math.isfinite(tau) and tau > 0.0):
+        raise InvalidParams(f"tau must be positive, got {tau!r}")
+    g = params.coupling
+    s = g ** (1.0 / params.beta) * float(tau)
+    if g > 0.0 and s < sys.float_info.min:
+        raise InvalidParams(
+            f"scaled time g**(1/beta) * tau underflows at g={g!r}, beta={params.beta!r}"
+        )
+    _check_nodes(s)
+    return s
+
+
+def _lattice(omega: float, t_start: float, t_end: float) -> np.ndarray:
+    """Lattice nodes k * h / omega from the last at or below t_start to the
+    first at or above t_end, after the geometric head when t_start is 0."""
+    _check_nodes(omega * (t_end - t_start))
+    step = 1.0 / _NODES_PER_RADIAN
+    k_lo = math.floor(t_start * omega / step)
+    while k_lo > 0 and k_lo * step / omega > t_start:
+        k_lo -= 1
+    k_hi = max(math.ceil(t_end * omega / step), k_lo + 1)
+    while k_hi * step / omega < t_end:
+        k_hi += 1
+    body = np.arange(k_lo, k_hi + 1) * step / omega
+    if k_lo > 0:
+        return body
+    head = step / omega * 3.0 ** -np.arange(_HEAD_NODES, 0, -1)
+    return np.concatenate([body[:1], head, body[1:]])
+
+
+def cycle_lattice(omega: float, t_end: float) -> np.ndarray:
+    """Sampling lattice from 0 for a population cycling at rate omega > 0.
+
+    Nodes sit at k * h / omega with h = 1/2.55 rad, up to the first node
+    at or past t_end, after a fixed geometric head below the first step
+    that resolves the t**(2*beta) short-time layer.  A node's position
+    never depends on t_end: the lattice up to t1 is a bitwise prefix of
+    the lattice up to any later t2, and every cell between two nodes is
+    the same cell in both.  Raises GridTooCoarse like ``cycle_grid``.
+    """
+    return _lattice(omega, 0.0, t_end)
+
+
 def cycle_grid(omega: float, t_start: float, t_end: float) -> np.ndarray:
     """Sampling grid on [t_start, t_end] for a population cycling at rate omega.
 
-    The node count is 2.55 per radian of the cycle, at least 600, so
-    that every extremum of the population is bracketed; a window that
-    would need more than 60000 nodes raises GridTooCoarse rather than
-    alias its extrema.  A window starting at 0 gets a geometric head
-    that resolves the t**(2*beta) short-time layer a uniform grid would
-    step over.
+    The nodes of ``cycle_lattice`` strictly inside the window, about 2.55
+    per radian of the cycle so that extrema at least one step apart are
+    bracketed, plus both ends; a window starting at 0 keeps the
+    lattice's geometric head.  A window that would need more than 60000
+    nodes raises GridTooCoarse rather than alias its extrema.  Zero omega
+    has no cycle to resolve: the grid is the window's two ends.
     """
-    wanted = math.ceil(_NODES_PER_RADIAN * omega * (t_end - t_start))
-    if wanted > _MAX_GRID:
-        raise GridTooCoarse(
-            f"window of {omega * (t_end - t_start):.4g} rad needs {wanted} grid "
-            f"nodes, above the {_MAX_GRID}-node cap"
-        )
-    count = max(wanted, _MIN_GRID)
-    body = np.linspace(t_start, t_end, count)
-    if t_start > 0.0:
-        return body
-    head = []
-    x = t_end * 1e-9
-    while x < body[1]:
-        head.append(x)
-        x *= 3.0
-    return np.unique(np.concatenate([body, np.asarray(head)]))
-
+    if omega == 0.0:
+        return np.array([t_start, t_end], dtype=float)
+    nodes = _lattice(omega, t_start, t_end)
+    inside = nodes[(nodes > t_start) & (nodes < t_end)]
+    return np.concatenate([[t_start], inside, [t_end]])

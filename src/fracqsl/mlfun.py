@@ -16,10 +16,12 @@ Three complementary evaluation routes are provided:
 ``ml_linear_batch`` evaluates E_{beta,gamma}(c * t**beta) for several
 (c, gamma) pairs on a shared time grid.  Small arguments go through one
 Horner pass over all pairs at once, with Taylor tables cached per
-(beta, gamma).  The rest share one branch-cut mesh: the exponential
-factor of the cut integral depends only on the quadrature nodes and the
-times and is real, so it is computed once and multiplied by every pair's
-weights in a single real matrix product.
+(beta, gamma).  The rest go through branch-cut meshes, one per dyadic
+time window [2**(e-1), 2**e), cached with the pairs' weight columns: the
+exponential factor of the cut integral depends only on the quadrature
+nodes and the time and is real, so it is computed once per time and
+multiplied by every pair's (re, im) weights.  Every value depends only
+on its own time, never on the batch it was evaluated in.
 """
 
 from __future__ import annotations
@@ -86,9 +88,11 @@ class MLOrder:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and 0.0 < self.beta <= 1.0):
+        # A bool is an int to Python; True would pass as order 1.
+        beta, gamma = self.beta, self.gamma
+        if isinstance(beta, bool) or not (math.isfinite(beta) and 0.0 < beta <= 1.0):
             raise InvalidOrder(f"beta must lie in (0, 1], got {self.beta!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+        if isinstance(gamma, bool) or not (math.isfinite(gamma) and gamma > 0.0):
             raise InvalidOrder(f"gamma must be positive, got {self.gamma!r}")
 
 
@@ -136,7 +140,7 @@ def ml_series(order: MLOrder, z: complex) -> complex:
         t = total + y
         comp = (t - total) - y
         total = t
-        zp *= z
+        zp = zp * z
         if abs(zp) > 1e280:
             raise NonConvergence(
                 f"series terms exceed double range for |z|={abs(z):.3g}, beta={beta}"
@@ -384,7 +388,7 @@ def _series_coefficients(beta: float, gamma: float) -> np.ndarray:
         a_j = float(rgamma(beta * j + gamma))
         coeffs.append(a_j)
         bound = abs(a_j) * zp
-        zp *= z_max
+        zp = zp * z_max
         if zp > 1e280:
             raise NonConvergence("batch series bound exceeded double range")
         if bound <= 1e-18:
@@ -398,6 +402,29 @@ def _series_coefficients(beta: float, gamma: float) -> np.ndarray:
     raise NonConvergence(f"batch series truncation not reached in {_MAX_TERMS} terms")
 
 
+@functools.lru_cache(maxsize=64)
+def _window_mesh(
+    beta: float, pairs: tuple[tuple[complex, float], ...], e: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut mesh of the time window [2**(e-1), 2**e] and the pairs' weights.
+
+    Returns (-nodes**(1/beta), real view of the complex weight columns).
+    The mesh depends only on (beta, pairs, e), so it is cached and shared
+    by every batch; both arrays are read-only.
+    """
+    cs = [c for c, _ in pairs if c != 0]
+    xm, wm, y = _cut_mesh(beta, math.ldexp(1.0, e - 1), math.ldexp(1.0, e), cs)
+    weight_mat = np.zeros((xm.size, len(pairs)), dtype=complex)
+    for k, (c, gamma) in enumerate(pairs):
+        if c != 0:
+            weight_mat[:, k] = _cut_weight_vector(beta, gamma, c, xm, wm)
+    neg_y = -y
+    weight_real = weight_mat.view(np.float64)
+    neg_y.flags.writeable = False
+    weight_real.flags.writeable = False
+    return neg_y, weight_real
+
+
 def ml_linear_batch(
     beta: float,
     pairs: Sequence[tuple[complex, float]],
@@ -408,13 +435,14 @@ def ml_linear_batch(
     Times must be nonnegative; t = 0 rows evaluate to 1/Gamma(gamma).
     Times with max|c| * t**beta inside ``series_radius(beta)`` go through
     one Horner pass over every pair, the cached Taylor tables stacked and
-    zero-padded to a common length; each such value is independent of its
-    batch-mates.  The other times share one branch-cut mesh built from
-    their range: the real factor exp(-x**(1/beta) * t) is computed once
-    per time chunk and multiplied by the (re, im) weight columns of every
-    pair in one real matrix product.  Coefficients whose cut roots fall
-    too close to the integration axis are evaluated by the contour route
-    point by point instead.
+    zero-padded to a common length.  The other times are split into
+    dyadic windows [2**(e-1), 2**e), each with its own cached branch-cut
+    mesh: the real factor exp(-x**(1/beta) * t) of a time is multiplied
+    by the (re, im) weight columns of every pair in one matrix-vector
+    product per time.  Coefficients whose cut roots fall too close to the
+    integration axis are evaluated by the contour route point by point
+    instead.  Each value therefore depends only on its own time and pair,
+    not on the batch.
 
     Returns a complex array of shape (len(pairs), len(ts)).
     """
@@ -466,7 +494,6 @@ def ml_linear_batch(
 
     if np.any(mesh_mask):
         t_mesh = ts[mesh_mask]
-        t_lo = float(t_mesh.min())
         t_hi = float(t_mesh.max())
         mesh_pairs = []
         contour_pairs = []
@@ -476,24 +503,24 @@ def ml_linear_batch(
             else:
                 mesh_pairs.append((i, c, gamma))
         if mesh_pairs:
-            cs = [c for _, c, _ in mesh_pairs if c != 0]
-            xm, wm, y = _cut_mesh(beta, t_lo, t_hi, cs)
-            weight_mat = np.zeros((xm.size, len(mesh_pairs)), dtype=complex)
-            for k, (_, c, gamma) in enumerate(mesh_pairs):
-                if c != 0:
-                    weight_mat[:, k] = _cut_weight_vector(beta, gamma, c, xm, wm)
-            # The exponential factor is real: multiply it by the (re, im)
-            # columns of the weights in one real matmul, straight into the
-            # complex result's storage.
-            weight_real = weight_mat.view(np.float64)
+            key = tuple((complex(c), float(gamma)) for _, c, gamma in mesh_pairs)
             vals = np.empty((t_mesh.size, len(mesh_pairs)), dtype=complex)
             vals_real = vals.view(np.float64)
-            chunk = max(1, int(4e6 // max(1, xm.size)))
-            for lo in range(0, t_mesh.size, chunk):
-                hi = min(lo + chunk, t_mesh.size)
-                expm = np.multiply.outer(t_mesh[lo:hi], -y)
-                np.exp(expm, out=expm)
-                np.matmul(expm, weight_real, out=vals_real[lo:hi])
+            window = np.frexp(t_mesh)[1]
+            for e in np.unique(window):
+                neg_y, weight_real = _window_mesh(beta, key, int(e))
+                rows = np.flatnonzero(window == e)
+                # Chunks of about 2 MB keep the factor in cache and the
+                # peak memory low.
+                chunk = max(1, int(2.5e5 // neg_y.size))
+                for lo in range(0, rows.size, chunk):
+                    sel = rows[lo : lo + chunk]
+                    expm = np.multiply.outer(t_mesh[sel], neg_y)
+                    np.exp(expm, out=expm)
+                    # A stack of matrix-vector products, one per time: a
+                    # blocked matrix product would round a row differently
+                    # depending on how many rows share the call.
+                    vals_real[sel] = np.matmul(expm[:, None, :], weight_real)[:, 0, :]
             for k, (i, c, gamma) in enumerate(mesh_pairs):
                 v = vals[:, k]
                 if c == 0:

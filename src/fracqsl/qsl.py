@@ -9,9 +9,18 @@ divided by tau.  The total variation is assembled from the population
 values at the extrema (located by sign changes of the rate and refined
 by a bracketing secant iteration), which keeps the bound free of
 quadrature error: within a monotone segment the integral of |rate| is
-the endpoint difference.  ``qsl_curve`` answers a whole tau grid from
-one such pass, with the variation up to each tau a prefix sum over the
-extrema; ``qsl_point`` is its one-tau case.
+the endpoint difference.
+
+The coupling enters the dynamics only through s = g**(1/beta) * t, so
+every (params, tau) with the same (beta, a, b) reads one unit-coupling
+curve: the state at tau is the unit curve's state at s, and the
+variation over [0, tau] is the unit curve's variation over [0, s].
+``qsl_curve`` answers any number of such pairs from one pass over that
+curve, with the variation up to each s a prefix sum over the extrema;
+``qsl_point`` is its one-pair case.  Extrema are bracketed on the fixed
+lattice of ``cycle_lattice`` only, and every Mittag-Leffler value depends
+on its own time only, so a point's bits do not depend on which other
+points share the pass.  Zero coupling is frozen dynamics.
 
 ``qsl_ratio_formula`` recomputes the same ratio through a second route:
 a closed-form numerator from the two eigenfactor values at tau, and a
@@ -32,7 +41,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn
 
 from .errors import DegenerateState, InvalidParams
-from .jcmodel import JCParams, QubitDynamics, cycle_grid, evolve
+from .jcmodel import (
+    JCParams,
+    QubitDynamics,
+    cycle_grid,
+    cycle_lattice,
+    evolve,
+    scaled_time,
+)
 
 __all__ = [
     "QslPoint",
@@ -182,13 +198,15 @@ def _variation_to(
     rho_ee: np.ndarray,
     rates: np.ndarray,
     ends: np.ndarray,
+    rho_ends: np.ndarray,
 ) -> np.ndarray:
     """Exact total variation of rho_ee from times[0] to each of ``ends``.
 
-    Every end must be one of the sampled ``times``.  Between consecutive
-    extrema the population is monotone, so the variation of each segment
-    is the difference of its endpoint values: a prefix sum over the
-    extrema plus one endpoint term answers every end.
+    ``rho_ends`` holds the population at the ends, which must lie within
+    the sampled ``times``.  Between consecutive extrema the population is
+    monotone, so the variation of each segment is the difference of its
+    endpoint values: a prefix sum over the extrema plus one endpoint term
+    answers every end.
     """
     zs = _extrema_times(engine, times, rates)
     if zs.size:
@@ -198,7 +216,7 @@ def _variation_to(
     node_vals = np.concatenate([[rho_ee[0]], rho_z])
     cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(node_vals)))])
     j = np.searchsorted(zs, ends, side="left")
-    return cum[j] + np.abs(rho_ee[np.searchsorted(times, ends)] - node_vals[j])
+    return cum[j] + np.abs(rho_ends - node_vals[j])
 
 
 def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
@@ -231,22 +249,60 @@ def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
     )
 
 
-def qsl_curve(params: JCParams, taus) -> list[QslPoint]:
-    """Speed-limit ratios at every tau in ``taus`` from one dynamics pass.
+def _check_tau(tau, what: str = "tau") -> None:
+    # A bool is an int to Python; True would pass as 1.
+    if isinstance(tau, bool) or not (
+        isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0
+    ):
+        raise InvalidParams(f"{what} must be positive, got {tau!r}")
 
-    The population is sampled once on [0, max(taus)] with every tau
-    among the nodes, its extrema are located once, and each tau is
-    answered by a prefix sum of the variation plus one endpoint term.
+
+def _unit_curve(
+    engine: QubitDynamics, scaled: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(B) and the total variation of rho_ee at each scaled time.
+
+    ``engine`` runs the unit-coupling dynamics.  The lattice runs to its
+    first node at or past the largest scaled time; the scaled times are
+    sampled in the same pass, but only lattice cells bracket extrema.
+    """
+    lattice = cycle_lattice(1.0, float(scaled.max()))
+    times = np.union1d(lattice, scaled)
+    rho_ee, _, rates = engine.population_sample(times)
+    nodes = np.searchsorted(times, lattice)
+    rho_at = rho_ee[np.searchsorted(times, scaled)]
+    tvs = _variation_to(engine, lattice, rho_ee[nodes], rates[nodes], scaled, rho_at)
+    return np.abs(rho_at - 1.0), tvs
+
+
+def qsl_curve(params, taus) -> list[QslPoint]:
+    """Speed-limit ratios at every tau in ``taus`` from one unit-curve pass.
+
+    ``params`` is one ``JCParams`` for every tau, or a sequence of them,
+    one per tau, that all share (beta, a, b).  Each pair is answered on
+    the unit-coupling curve at s = g**(1/beta) * tau: the population is
+    sampled once on the lattice up to the largest s, its extrema are
+    located once, and each s reads a prefix sum of the variation plus one
+    endpoint term; ``lambda_op`` is that variation over tau.  Pairs with
+    zero coupling are frozen.  Every point equals its own ``qsl_point``
+    bit for bit.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0 or not np.all(np.isfinite(taus) & (taus > 0.0)):
         raise InvalidParams(f"taus must be finite positive times, got {taus!r}")
-    engine = QubitDynamics(params)
-    base = cycle_grid(engine.oscillation_rate(), 0.0, float(taus.max()))
-    times = np.unique(np.concatenate([base, taus]))
-    rho_ee, _, rates = engine.population_sample(times)
-    tvs = _variation_to(engine, times, rho_ee, rates, taus)
-    sin2s = np.abs(rho_ee[np.searchsorted(times, taus)] - 1.0)
+    plist = [params] * taus.size if isinstance(params, JCParams) else list(params)
+    if len(plist) != taus.size:
+        raise InvalidParams(f"need one JCParams per tau, got {len(plist)} for {taus.size}")
+    beta, a, b = plist[0].beta, plist[0].a, plist[0].b
+    if any((p.beta, p.a, p.b) != (beta, a, b) for p in plist):
+        raise InvalidParams("the parameters of one curve must share (beta, a, b)")
+    scaled = np.array([scaled_time(p, float(tau)) for p, tau in zip(plist, taus)])
+    engine = QubitDynamics(JCParams(beta=beta, lam=1.0, n=0, a=a, b=b))
+    sin2s = np.zeros(taus.size)
+    tvs = np.zeros(taus.size)
+    moving = scaled > 0.0
+    if np.any(moving):
+        sin2s[moving], tvs[moving] = _unit_curve(engine, scaled[moving])
     return [
         _point_from_variation(float(tau), float(sin2), float(tv))
         for tau, sin2, tv in zip(taus, sin2s, tvs)
@@ -255,8 +311,7 @@ def qsl_curve(params: JCParams, taus) -> list[QslPoint]:
 
 def qsl_point(params: JCParams, tau: float) -> QslPoint:
     """Speed-limit ratios for the dynamics run up to time tau."""
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
-        raise InvalidParams(f"tau must be positive, got {tau!r}")
+    _check_tau(tau)
     return qsl_curve(params, [tau])[0]
 
 
@@ -269,10 +324,11 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
     that pairing collapses to |d rho_ee/dt| times the unit trace of
     chi_tau, so the window average is the total variation over tau_d.
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0.0):
+    if isinstance(tau, bool) or not (
+        isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0.0
+    ):
         raise InvalidParams(f"tau must be nonnegative, got {tau!r}")
-    if not (isinstance(tau_d, (int, float)) and math.isfinite(tau_d) and tau_d > 0.0):
-        raise InvalidParams(f"tau_d must be positive, got {tau_d!r}")
+    _check_tau(tau_d, "tau_d")
     engine = QubitDynamics(params)
     t0, t1 = float(tau), float(tau + tau_d)
     # The window grid starts at t0 and ends at t1, so one sample serves
@@ -284,7 +340,7 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
     tr_sq = float(np.sum(chi_tau**2))
     overlap = float(np.sum(chi_later * chi_tau))
     rel_purity = overlap / tr_sq
-    tv = float(_variation_to(engine, times, rho_e, rates, times[-1:])[0])
+    tv = float(_variation_to(engine, times, rho_e, rates, times[-1:], rho_e[-1:])[0])
 
     avg_sv = tv / tau_d
     avg_hs = _SQRT2 * avg_sv
@@ -315,8 +371,7 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     down to a cutoff below which the closed-form power law
     rho_gg ~ K t**(2 beta) supplies the remaining sliver.
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
-        raise InvalidParams(f"tau must be positive, got {tau!r}")
+    _check_tau(tau)
     tau = float(tau)
     engine = QubitDynamics(params)
     beta = params.beta

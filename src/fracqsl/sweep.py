@@ -9,11 +9,12 @@ rerunning a sweep with the same inputs reproduces the output byte for
 byte regardless of the thread count: each group's arithmetic is
 independent.
 
-Grid values that share their model parameters form one group, answered
-by one ``qsl_curve`` pass: a tau sweep is a single group, and every value
-of another axis is a group of its own.  ``run_sweep`` spreads the groups
-over a thread pool when asked for more than one thread; a failing point
-is recorded as data instead of aborting the run.
+Grid values that share (beta, a, b) form one group, answered by one
+``qsl_curve`` pass over that group's unit-coupling curve: a tau, lambda
+or n sweep is a single group, and every value of a beta sweep is a group
+of its own.  ``run_sweep`` spreads the groups over a thread pool when
+asked for more than one thread; a failing point is recorded as data
+instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import InvalidParams, TooFewPoints, UnknownFigure
-from .jcmodel import JCParams
+from .jcmodel import JCParams, scaled_time
 from .qsl import QslPoint, qsl_curve
 
 __all__ = [
@@ -168,37 +169,42 @@ def _error_text(exc: Exception) -> str:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[CurveRecord]:
     """Evaluate the sweep, one record per grid value, in grid order.
 
-    Grid values with the same model parameters (every value of a tau
-    sweep) form one group, answered by one ``qsl_curve`` pass.  A value
-    whose parameters are invalid fails alone; a group that raises fails
-    its own values only.  ``threads`` (a positive integer) sizes the pool
-    the groups are spread over; it changes no output bit.
+    Grid values whose parameters share (beta, a, b) form one group,
+    answered by one ``qsl_curve`` pass over their unit-coupling curve; a
+    tau, lambda or n sweep is one group.  A value whose parameters are
+    invalid, or whose scaled time g**(1/beta) * tau is past the grid cap,
+    fails alone; a group that raises fails its own values only.
+    ``threads`` (a positive integer) sizes the pool the groups are spread
+    over; it changes no output bit.
     """
     if not isinstance(threads, int) or threads < 1:
         raise InvalidParams(f"threads must be a positive integer, got {threads!r}")
     records: dict[float, CurveRecord] = {}
-    groups: dict[JCParams, list[tuple[float, float]]] = {}
+    groups: dict[tuple[float, float, float], list[tuple[float, JCParams, float]]] = {}
     for value in map(float, spec.grid):
         try:
             params, tau = spec.params_at(value)
+            # Checked per value, so a value past the grid cap fails alone.
+            scaled_time(params, tau)
         except Exception as exc:
             records[value] = CurveRecord(axis_value=value, point=None, error=_error_text(exc))
         else:
-            groups.setdefault(params, []).append((value, tau))
+            key = (params.beta, params.a, params.b)
+            groups.setdefault(key, []).append((value, params, tau))
 
-    def run_group(params: JCParams, members: list[tuple[float, float]]) -> list[CurveRecord]:
+    def run_group(members: list[tuple[float, JCParams, float]]) -> list[CurveRecord]:
         try:
-            points = qsl_curve(params, [tau for _, tau in members])
+            points = qsl_curve([p for _, p, _ in members], [tau for _, _, tau in members])
         except Exception as exc:
             text = _error_text(exc)
-            return [CurveRecord(axis_value=v, point=None, error=text) for v, _ in members]
-        return [CurveRecord(axis_value=v, point=p) for (v, _), p in zip(members, points)]
+            return [CurveRecord(axis_value=v, point=None, error=text) for v, _, _ in members]
+        return [CurveRecord(axis_value=v, point=p) for (v, _, _), p in zip(members, points)]
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run_group, groups.keys(), groups.values()))
+            done = list(pool.map(run_group, groups.values()))
     else:
-        done = [run_group(params, members) for params, members in groups.items()]
+        done = [run_group(members) for members in groups.values()]
     for group in done:
         records.update((rec.axis_value, rec) for rec in group)
     return [records[value] for value in map(float, spec.grid)]

@@ -39,6 +39,18 @@ def test_no_private_names_from_sibling_modules():
     assert not found, f"private names imported from sibling modules: {found}"
 
 
+def test_no_augmented_multiply_in_mlfun():
+    # numpy's in-place complex multiply rounds a one-element array
+    # differently from a longer one, so an array ``*=`` in the kernel would
+    # make a value depend on its batch-mates; write ``x = x * y`` instead.
+    mlfun = next(p for p in SOURCES if p.name == "mlfun.py")
+    found = [
+        f"mlfun.py:{node.lineno}"
+        for node in ast.walk(ast.parse(mlfun.read_text(encoding="utf-8")))
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+    ]
+    assert not found, f"augmented multiply in mlfun: {found}"
+
 
 def test_every_error_class_is_raised():
     # A typed error that nothing raises promises a failure mode the

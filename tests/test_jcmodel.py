@@ -6,9 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracqsl.errors import DegenerateState, InvalidOrder, InvalidParams
-from fracqsl.jcmodel import JCParams, QubitDynamics, cycle_grid, evolve, interaction_hamiltonian
+from fracqsl.jcmodel import (
+    JCParams,
+    QubitDynamics,
+    cycle_grid,
+    cycle_lattice,
+    evolve,
+    interaction_hamiltonian,
+    scaled_time,
+)
 
 HALF = math.sqrt(0.5)
 
@@ -28,12 +38,16 @@ class TestParams:
             JCParams(beta=0.0, lam=0.5, n=1)
         with pytest.raises(InvalidOrder):
             JCParams(beta=1.01, lam=0.5, n=1)
+        with pytest.raises(InvalidOrder):
+            JCParams(beta=True, lam=0.5, n=1)
 
     def test_lam_bounds(self):
         with pytest.raises(InvalidParams):
             JCParams(beta=0.5, lam=-0.1, n=1)
         with pytest.raises(InvalidParams):
             JCParams(beta=0.5, lam=1.5, n=1)
+        with pytest.raises(InvalidParams):
+            JCParams(beta=0.5, lam=True, n=1)
 
     def test_n_must_be_nonnegative_integer(self):
         with pytest.raises(InvalidParams):
@@ -44,6 +58,11 @@ class TestParams:
     def test_weights_normalized(self):
         with pytest.raises(InvalidParams):
             JCParams(beta=0.5, lam=0.5, n=1, a=0.9, b=0.9)
+        # True and False would pass as the normalized pair (1, 0).
+        with pytest.raises(InvalidParams):
+            JCParams(beta=0.5, lam=0.5, n=1, a=True, b=0.0)
+        with pytest.raises(InvalidParams):
+            JCParams(beta=0.5, lam=0.5, n=1, a=0.0, b=True)
         JCParams(beta=0.5, lam=0.5, n=1, a=0.6, b=0.8)
 
 
@@ -62,6 +81,8 @@ class TestHamiltonian:
             interaction_hamiltonian(0.5, -3)
         with pytest.raises(InvalidParams):
             interaction_hamiltonian(0.5, True)
+        with pytest.raises(InvalidParams):
+            interaction_hamiltonian(True, 1)
 
     def test_eigensystem_of_coupling_block(self):
         # The engine never diagonalizes: it builds in the eigenvalues +-g
@@ -102,6 +123,8 @@ class TestEvolve:
         p = JCParams(beta=0.5, lam=0.5, n=2)
         with pytest.raises(InvalidParams):
             evolve(p, -0.1)
+        with pytest.raises(InvalidParams):
+            evolve(p, True)
 
     def test_matches_engine(self):
         p = JCParams(beta=0.6, lam=0.7, n=5)
@@ -198,3 +221,41 @@ class TestTrajectory:
         # Cycle-aware density: omega = g^2 here.
         omega = p.coupling ** 2
         assert times.size >= 2.55 * omega * 3.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        omega=st.floats(0.01, 100.0),
+        t1=st.floats(1e-3, 50.0),
+        later=st.floats(1e-9, 50.0),
+    )
+    def test_lattice_prefix_property(self, omega, t1, later):
+        # A node's position does not depend on the window end: the nodes up
+        # to t1 are a bitwise prefix of the grid to any later end, so every
+        # bracket a short window sees is a bracket of the longer one.
+        t2 = t1 + later
+        short, long_ = cycle_lattice(omega, t1), cycle_lattice(omega, t2)
+        assert short[-1] >= t1
+        kept = short[short <= t1]
+        assert np.array_equal(kept, long_[: kept.size])
+        assert np.array_equal(short, long_[: short.size])
+        grid1, grid2 = cycle_grid(omega, 0.0, t1), cycle_grid(omega, 0.0, t2)
+        inner = grid1[grid1 < t1]
+        assert grid1[-1] == t1
+        assert np.array_equal(inner, grid2[: inner.size])
+
+
+class TestScaledTime:
+    def test_unit_coupling_time(self):
+        p = JCParams(beta=0.5, lam=0.5, n=20)
+        assert scaled_time(p, 2.0) == p.coupling**2 * 2.0
+        assert scaled_time(JCParams(beta=0.5, lam=0.0, n=3), 1.0) == 0.0
+
+    def test_refusals(self):
+        p = JCParams(beta=0.5, lam=0.5, n=2)
+        for tau in (0.0, -1.0, math.nan, True):
+            with pytest.raises(InvalidParams):
+                scaled_time(p, tau)
+        # 0.05**(1/0.001) is far below the smallest normal double: the unit
+        # curve cannot represent this nonzero coupling.
+        with pytest.raises(InvalidParams, match="underflows"):
+            scaled_time(JCParams(beta=0.001, lam=0.05, n=0), 1.0)

@@ -44,12 +44,16 @@ class TestOrderValidation:
             MLOrder(1.2)
         with pytest.raises(InvalidOrder):
             MLOrder(float("nan"))
+        with pytest.raises(InvalidOrder):
+            MLOrder(True)
 
     def test_gamma_range(self):
         with pytest.raises(InvalidOrder):
             MLOrder(0.5, 0.0)
         with pytest.raises(InvalidOrder):
             MLOrder(0.5, -1.0)
+        with pytest.raises(InvalidOrder):
+            MLOrder(0.5, True)
 
     def test_defaults(self):
         o = MLOrder(0.5)
@@ -375,14 +379,53 @@ class TestLinearBatch:
         for i, pair in enumerate(pairs):
             assert np.array_equal(got[i], ml_linear_batch(beta, [pair], ts)[0])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.15, 1.0, exclude_max=True),
+        polar=st.lists(
+            st.tuples(st.floats(0.05, 6.0), st.floats(-math.pi, math.pi)),
+            min_size=1,
+            max_size=4,
+        ),
+        growth=st.lists(st.floats(1.0, 60.0), min_size=1, max_size=12),
+        mates=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=12),
+    )
+    def test_mesh_values_ignore_batch_mates_property(self, beta, polar, growth, mates):
+        # Times past the series radius, at up to 60 units of max|c|**(1/beta)
+        # * t: every column comes from a cut-mesh window (or the contour for
+        # a coefficient near the axis) and must not depend on the batch.
+        pairs = [
+            (mag * cmath.exp(1j * th), 1.0 if k % 2 == 0 else beta)
+            for k, (mag, th) in enumerate(polar)
+        ]
+        c_max = max(mag for mag, _ in polar)
+        radius_time = (series_radius(beta) / c_max) ** (1.0 / beta)
+        ts = np.array([radius_time * 1.01 * u for u in growth])
+        others = np.array([radius_time * 1.01 * (1.0 + u) for u in mates])
+        assert np.all(c_max * ts**beta > series_radius(beta))
+        got = ml_linear_batch(beta, pairs, ts)
+        mixed = ml_linear_batch(beta, pairs, np.concatenate([others, ts[::-1]]))
+        mixed = mixed[:, others.size :][:, ::-1]
+        for k in range(ts.size):
+            alone = ml_linear_batch(beta, pairs, ts[k : k + 1])[:, 0]
+            assert np.array_equal(got[:, k], alone)
+            assert np.array_equal(got[:, k], mixed[:, k])
+
     def test_series_table_is_shared_and_read_only(self):
-        from fracqsl.mlfun import _series_coefficients
+        from fracqsl.mlfun import _series_coefficients, _window_mesh
 
         table = _series_coefficients(0.3, 1.0)
         assert _series_coefficients(0.3, 1.0) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+        # The cut mesh of a time window and its weight columns likewise.
+        mesh = _window_mesh(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3)
+        assert _window_mesh(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3) is mesh
+        for arr in mesh:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(

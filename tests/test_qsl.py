@@ -115,6 +115,8 @@ class TestGeometricBound:
             qsl_point(p, 0.0)
         with pytest.raises(InvalidParams):
             qsl_point(p, -1.0)
+        with pytest.raises(InvalidParams):
+            qsl_point(p, True)
         for taus in ([0.5, 0.0], [0.5, math.nan], [], [[0.5]]):
             with pytest.raises(InvalidParams):
                 qsl_curve(p, taus)
@@ -158,6 +160,41 @@ class TestGeometricBound:
 
     @settings(max_examples=30, deadline=None)
     @given(
+        beta=st.floats(0.2, 1.0),
+        a=st.one_of(st.none(), st.floats(0.35, 0.93)),
+        draws=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                st.integers(0, 40),
+                st.floats(0.2, 2.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_grouped_curve_matches_pointwise_property(self, beta, a, draws):
+        # Criterion 08's domain, non-eigen weights and zero coupling
+        # included: one unit-curve pass answers points of different
+        # couplings with the bits of their own ``qsl_point``.
+        assume(abs(beta - 2.0 / 3.0) >= 0.005)
+        weights = {} if a is None else {"a": a, "b": math.sqrt(1.0 - a * a)}
+        params = [JCParams(beta=beta, lam=lam, n=n, **weights) for lam, n, _ in draws]
+        taus = [tau for _, _, tau in draws]
+        assume(max(p.coupling ** (1.0 / beta) * t for p, t in zip(params, taus)) <= 400.0)
+        for p, tau, pt in zip(params, taus, qsl_curve(params, taus)):
+            assert pt == qsl_point(p, tau)
+
+    def test_grouped_curve_refuses_mixed_groups(self):
+        p = JCParams(beta=0.5, lam=0.5, n=2)
+        with pytest.raises(InvalidParams):
+            qsl_curve([p, JCParams(beta=0.6, lam=0.5, n=2)], [1.0, 1.0])
+        with pytest.raises(InvalidParams):
+            qsl_curve([p, JCParams(beta=0.5, lam=0.5, n=2, a=0.6, b=0.8)], [1.0, 1.0])
+        with pytest.raises(InvalidParams):
+            qsl_curve([p], [1.0, 2.0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
         order=st.sampled_from(FIRST_EXTREMUM),
         lam=st.floats(0.05, 1.0),
         n=st.integers(0, 40),
@@ -168,7 +205,7 @@ class TestGeometricBound:
         beta, s1 = order
         p = JCParams(beta=beta, lam=lam, n=n)
         scale = p.coupling ** (1.0 / beta)
-        below, above = 0.97 * s1 / scale, 1.03 * s1 / scale
+        below, above = 0.999 * s1 / scale, 1.001 * s1 / scale
         assume(1e-3 <= below and above <= 1e3)
         assert qsl_point(p, below).ratio_op == 1.0
         assert qsl_point(p, above).ratio_op < 1.0
@@ -199,12 +236,23 @@ class TestWindowBound:
         assert res.relative_purity == pytest.approx(overlap / tr_sq, rel=1e-10)
         assert res.tau_qsl == pytest.approx(want, rel=1e-8)
 
+    def test_zero_coupling_window(self):
+        # No cycle to resolve: the window grid is its two ends.
+        res = qsl_mlmt(JCParams(beta=0.5, lam=0.0, n=4), 0.5, 1.0)
+        assert res.tau_qsl == 0.0
+        assert res.relative_purity == 1.0
+        assert res.avg_sv == 0.0
+
     def test_window_validation(self):
         p = JCParams(beta=0.5, lam=0.5, n=2)
         with pytest.raises(InvalidParams):
             qsl_mlmt(p, -0.1, 0.5)
         with pytest.raises(InvalidParams):
             qsl_mlmt(p, 0.1, 0.0)
+        with pytest.raises(InvalidParams):
+            qsl_mlmt(p, 0.5, True)
+        with pytest.raises(InvalidParams):
+            qsl_mlmt(p, True, 0.5)
 
 
 class TestFormulaRoute:
@@ -229,6 +277,8 @@ class TestFormulaRoute:
     def test_tau_validation(self):
         with pytest.raises(InvalidParams):
             qsl_ratio_formula(JCParams(beta=0.5, lam=0.5, n=2), 0.0)
+        with pytest.raises(InvalidParams):
+            qsl_ratio_formula(JCParams(beta=0.5, lam=0.5, n=2), True)
 
 
 class TestGridStability:
@@ -241,9 +291,9 @@ class TestGridStability:
             (JCParams(beta=0.3, lam=0.4, n=5), 1.5),
         ]
         coarse = [qsl_point(params, tau) for params, tau in cases]
+        coarse_nodes = jcmodel.cycle_grid(1.0, 1.0, 101.0)[1:-1].size
         monkeypatch.setattr(jcmodel, "_NODES_PER_RADIAN", 5.1)
-        monkeypatch.setattr(jcmodel, "_MIN_GRID", 1200)
-        assert jcmodel.cycle_grid(1.0, 0.0, 1.0).size >= 1200
+        assert jcmodel.cycle_grid(1.0, 1.0, 101.0)[1:-1].size >= 2 * coarse_nodes
         dense = [qsl_point(params, tau) for params, tau in cases]
         for c, d in zip(coarse, dense):
             assert abs(c.ratio_op - d.ratio_op) < 1e-10

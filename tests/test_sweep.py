@@ -157,8 +157,8 @@ class TestRunSweep:
         for rec in run_sweep(spec):
             params, tau = spec.params_at(rec.axis_value)
             direct = qsl_point(params, tau)
-            assert rec.point.ratio_op == pytest.approx(direct.ratio_op, rel=0.0, abs=1e-10)
-            assert rec.point.lambda_op == pytest.approx(direct.lambda_op, rel=1e-10, abs=0.0)
+            assert rec.point.ratio_op == direct.ratio_op
+            assert rec.point.lambda_op == direct.lambda_op
 
     @settings(max_examples=25, deadline=None)
     @given(
