@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
-from .mlfun import MLOrder, ml_global, ml_linear_batch
+from .mlfun import MLOrder, is_real, ml_global, ml_linear_batch
 
 __all__ = [
     "JCParams",
@@ -33,6 +33,7 @@ __all__ = [
     "cycle_grid",
     "cycle_lattice",
     "scaled_time",
+    "check_time",
 ]
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -44,9 +45,19 @@ _HEAD_NODES = 20
 _MAX_GRID = 60000
 
 
-def _real(value) -> bool:
-    """An int or float that is not a bool (True would pass as 1)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def check_time(value, name: str = "tau", allow_zero: bool = False) -> float:
+    """``value`` as a float if it is a finite positive time, else InvalidParams.
+
+    ``allow_zero`` admits 0.  A bool is refused: True would pass as 1.
+    """
+    if not (
+        is_real(value)
+        and math.isfinite(value)
+        and (value > 0.0 or (allow_zero and value == 0.0))
+    ):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise InvalidParams(f"{name} must be {kind}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -65,16 +76,16 @@ class JCParams:
     b: float = _HALF_SQRT2
 
     def __post_init__(self) -> None:
-        if not (_real(self.beta) and math.isfinite(self.beta) and 0.0 < self.beta <= 1.0):
+        if not (is_real(self.beta) and math.isfinite(self.beta) and 0.0 < self.beta <= 1.0):
             raise InvalidOrder(f"beta must lie in (0, 1], got {self.beta!r}")
-        if not (_real(self.lam) and math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
+        if not (is_real(self.lam) and math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
             raise InvalidParams(f"lam must lie in [0, 1], got {self.lam!r}")
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise InvalidParams(f"n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise InvalidParams(f"n must be nonnegative, got {self.n!r}")
         for name, w in (("a", self.a), ("b", self.b)):
-            if not (_real(w) and math.isfinite(w) and 0.0 <= w <= 1.0):
+            if not (is_real(w) and math.isfinite(w) and 0.0 <= w <= 1.0):
                 raise InvalidParams(f"{name} must lie in [0, 1], got {w!r}")
         if abs(self.a**2 + self.b**2 - 1.0) > 1e-12:
             raise InvalidParams(
@@ -109,7 +120,7 @@ def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
 
     Both off-diagonal entries equal lam * sqrt(n+1).
     """
-    if isinstance(lam, bool) or not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+    if not (is_real(lam) and math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise InvalidParams(f"lam must lie in [0, 1], got {lam!r}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
@@ -138,10 +149,7 @@ class QubitDynamics:
 
     def oscillation_rate(self) -> float:
         """Angular rate g**(1/beta) of the asymptotic population cycle."""
-        g = self.params.coupling
-        if g == 0.0:
-            return 0.0
-        return g ** (1.0 / self.params.beta)
+        return _cycle_rate(self.params.coupling, self.params.beta)
 
     def eigenfactors(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """E_beta(c * t**beta) for c = +g*(-i)**beta and -g*(-i)**beta."""
@@ -168,13 +176,15 @@ class QubitDynamics:
         return self.population_sample(times)[2]
 
     def population_sample(
-        self, times: np.ndarray
+        self, times: np.ndarray, powers: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_ee, rho_gg, d rho_ee/dt) from one shared evaluation.
 
         All four Mittag-Leffler rows reuse the same quadrature mesh, so
         sampling value and rate together costs one pass.  Rate entries at
         t = 0 are set to 0: for beta < 1 the rate can diverge there.
+        ``powers`` is passed on to ``ml_linear_batch`` (times**beta as the
+        caller rounds it).
 
         Quotient rule on rho_ee = u / (u + v) gives the rate
         (u' v - u v') / (u + v)**2 with u, v the unnormalized weights.
@@ -190,6 +200,7 @@ class QubitDynamics:
                 (self._c_minus, beta),
             ],
             times,
+            powers,
         )
         e2, e1, f2, f1 = rows
         a, b = self.params.a, self.params.b
@@ -226,8 +237,7 @@ def evolve(params: JCParams, tau: float) -> CompositeAmplitudes:
     Scalar route: each eigenfactor is an independent ``ml_global`` call,
     so this does not share state with the vectorized engine.
     """
-    if not (_real(tau) and math.isfinite(tau) and tau >= 0.0):
-        raise InvalidParams(f"tau must be nonnegative, got {tau!r}")
+    tau = check_time(tau, allow_zero=True)
     beta = params.beta
     g = params.coupling
     rot = (-1j) ** beta
@@ -239,40 +249,50 @@ def evolve(params: JCParams, tau: float) -> CompositeAmplitudes:
     return CompositeAmplitudes(c_g=a * b * (e2 - e1), c_e=b * b * (e2 + e1))
 
 
+def _cycle_rate(g: float, beta: float) -> float:
+    """g**(1/beta), the angular rate of the population cycle; inf past the
+    double range, which every grid refuses."""
+    try:
+        return g ** (1.0 / beta)
+    except OverflowError:
+        return math.inf
+
+
 def _check_nodes(span: float) -> None:
     """Refuse a window of ``span`` radians that needs more than the node cap."""
-    wanted = math.ceil(_NODES_PER_RADIAN * span)
+    wanted = _NODES_PER_RADIAN * span
     if wanted > _MAX_GRID:
+        count = math.ceil(wanted) if math.isfinite(wanted) else wanted
         raise GridTooCoarse(
-            f"window of {span:.4g} rad needs {wanted} grid "
+            f"window of {span:.4g} rad needs {count} grid "
             f"nodes, above the {_MAX_GRID}-node cap"
         )
 
 
-def scaled_time(params: JCParams, tau: float) -> float:
-    """Time s = g**(1/beta) * tau on the unit-coupling curve.
+def scaled_time(params: JCParams, tau: float) -> tuple[float, float]:
+    """Time s = g**(1/beta) * tau on the unit-coupling curve, and s**beta.
 
     The coupling enters the dynamics only through g**(1/beta) * t, so the
     state at (params, tau) is the state of JCParams(beta, 1, 0, a, b) at s.
-    Raises GridTooCoarse when bracketing the extrema up to s would need
-    more than the grid's node cap, and InvalidParams when a nonzero
-    coupling underflows s to a subnormal number.
+    The Mittag-Leffler argument needs s**beta, which is returned as
+    g * tau**beta: it stays a normal number where s itself underflows (a
+    tiny order or coupling), so such a point is still answered, with s
+    carried as 0.  Raises GridTooCoarse when bracketing the extrema up to
+    s would need more than the grid's node cap.
     """
-    if not (_real(tau) and math.isfinite(tau) and tau > 0.0):
-        raise InvalidParams(f"tau must be positive, got {tau!r}")
+    tau = check_time(tau)
     g = params.coupling
-    s = g ** (1.0 / params.beta) * float(tau)
-    if g > 0.0 and s < sys.float_info.min:
-        raise InvalidParams(
-            f"scaled time g**(1/beta) * tau underflows at g={g!r}, beta={params.beta!r}"
-        )
+    s = _cycle_rate(g, params.beta) * tau
     _check_nodes(s)
-    return s
+    if s < sys.float_info.min:
+        s = 0.0
+    return s, g * tau**params.beta
 
 
-def _lattice(omega: float, t_start: float, t_end: float) -> np.ndarray:
-    """Lattice nodes k * h / omega from the last at or below t_start to the
-    first at or above t_end, after the geometric head when t_start is 0."""
+def _lattice(omega: float, t_start: float, t_end: float, extra: int = 0) -> np.ndarray:
+    """Lattice nodes k * h / omega from the last at or below t_start to
+    ``extra`` nodes past the first at or above t_end, after the geometric
+    head when t_start is 0."""
     _check_nodes(omega * (t_end - t_start))
     step = 1.0 / _NODES_PER_RADIAN
     k_lo = math.floor(t_start * omega / step)
@@ -281,7 +301,7 @@ def _lattice(omega: float, t_start: float, t_end: float) -> np.ndarray:
     k_hi = max(math.ceil(t_end * omega / step), k_lo + 1)
     while k_hi * step / omega < t_end:
         k_hi += 1
-    body = np.arange(k_lo, k_hi + 1) * step / omega
+    body = np.arange(k_lo, k_hi + 1 + extra) * step / omega
     if k_lo > 0:
         return body
     head = step / omega * 3.0 ** -np.arange(_HEAD_NODES, 0, -1)
@@ -291,14 +311,16 @@ def _lattice(omega: float, t_start: float, t_end: float) -> np.ndarray:
 def cycle_lattice(omega: float, t_end: float) -> np.ndarray:
     """Sampling lattice from 0 for a population cycling at rate omega > 0.
 
-    Nodes sit at k * h / omega with h = 1/2.55 rad, up to the first node
-    at or past t_end, after a fixed geometric head below the first step
-    that resolves the t**(2*beta) short-time layer.  A node's position
-    never depends on t_end: the lattice up to t1 is a bitwise prefix of
-    the lattice up to any later t2, and every cell between two nodes is
-    the same cell in both.  Raises GridTooCoarse like ``cycle_grid``.
+    Nodes sit at k * h / omega with h = 1/2.55 rad, after a fixed
+    geometric head below the first step that resolves the t**(2*beta)
+    short-time layer, and run one node past the first node at or past
+    t_end, so that every window of two cells that starts below t_end is
+    whole.  A node's position never depends on t_end: the lattice up to
+    t1 is a bitwise prefix of the lattice up to any later t2, and every
+    cell between two nodes is the same cell in both.  Raises
+    GridTooCoarse like ``cycle_grid``.
     """
-    return _lattice(omega, 0.0, t_end)
+    return _lattice(omega, 0.0, t_end, extra=1)
 
 
 def cycle_grid(omega: float, t_start: float, t_end: float) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +53,7 @@ __all__ = [
     "ml_time_derivative",
     "ml_linear_batch",
     "series_radius",
+    "is_real",
 ]
 
 # Decay budget of the cut integral: e^{-45} ~ 3e-20 truncation.
@@ -80,6 +82,11 @@ _QUAD_CUTOFF = 1e8
 _GAUSS_X, _GAUSS_W = leggauss(15)
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool (True would pass as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MLOrder:
     """Order pair (beta, gamma) of the two-parameter Mittag-Leffler function."""
@@ -88,11 +95,10 @@ class MLOrder:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        # A bool is an int to Python; True would pass as order 1.
         beta, gamma = self.beta, self.gamma
-        if isinstance(beta, bool) or not (math.isfinite(beta) and 0.0 < beta <= 1.0):
+        if not (is_real(beta) and math.isfinite(beta) and 0.0 < beta <= 1.0):
             raise InvalidOrder(f"beta must lie in (0, 1], got {self.beta!r}")
-        if isinstance(gamma, bool) or not (math.isfinite(gamma) and gamma > 0.0):
+        if not (is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
             raise InvalidOrder(f"gamma must be positive, got {self.gamma!r}")
 
 
@@ -429,10 +435,14 @@ def ml_linear_batch(
     beta: float,
     pairs: Sequence[tuple[complex, float]],
     ts: np.ndarray,
+    powers: np.ndarray | None = None,
 ) -> np.ndarray:
     """E_{beta,gamma}(c * t**beta) for each (c, gamma) pair over a time grid.
 
     Times must be nonnegative; t = 0 rows evaluate to 1/Gamma(gamma).
+    ``powers``, when given, holds ts**beta as the caller rounds it.  The
+    series route below reads the power only, so a time too small for a
+    double may be passed as 0 with its positive power.
     Times with max|c| * t**beta inside ``series_radius(beta)`` go through
     one Horner pass over every pair, the cached Taylor tables stacked and
     zero-padded to a common length.  The other times are split into
@@ -453,6 +463,9 @@ def ml_linear_batch(
         raise InvalidParams("ts must be a one-dimensional array")
     if ts.size and (not np.all(np.isfinite(ts)) or ts.min() < 0.0):
         raise InvalidParams("ts must be finite and nonnegative")
+    tb = ts**beta if powers is None else np.asarray(powers, dtype=float)
+    if tb.shape != ts.shape or (tb.size and (not np.all(np.isfinite(tb)) or tb.min() < 0.0)):
+        raise InvalidParams("powers must be finite, nonnegative and match ts")
     out = np.empty((len(pairs), ts.size), dtype=complex)
     if ts.size == 0:
         return out
@@ -461,9 +474,9 @@ def ml_linear_batch(
         for i, (c, gamma) in enumerate(pairs):
             order = MLOrder(1.0, gamma)
             if gamma == 1.0:
-                out[i] = np.exp(np.asarray(c) * ts)
+                out[i] = np.exp(np.asarray(c) * tb)
             else:
-                out[i] = [ml_global(order, c * t) for t in ts]
+                out[i] = [ml_global(order, c * t) for t in tb]
         _ensure_batch(out)
         return out
 
@@ -473,7 +486,6 @@ def ml_linear_batch(
         for i, (_, gamma) in enumerate(pairs):
             out[i] = complex(rgamma(gamma))
         return out
-    tb = ts**beta
     series_mask = c_max * tb <= radius
     mesh_mask = ~series_mask
 
@@ -540,7 +552,7 @@ def ml_linear_batch(
                     v = v * t_mesh ** (1.0 - gamma)
                 out[i, mesh_mask] = v
         for i, c, gamma in contour_pairs:
-            out[i, mesh_mask] = [_ml_contour(beta, gamma, c * t**beta) for t in t_mesh]
+            out[i, mesh_mask] = [_ml_contour(beta, gamma, c * x) for x in tb[mesh_mask]]
 
     _ensure_batch(out)
     return out

@@ -18,9 +18,10 @@ variation over [0, tau] is the unit curve's variation over [0, s].
 ``qsl_curve`` answers any number of such pairs from one pass over that
 curve, with the variation up to each s a prefix sum over the extrema;
 ``qsl_point`` is its one-pair case.  Extrema are bracketed on the fixed
-lattice of ``cycle_lattice`` only, and every Mittag-Leffler value depends
-on its own time only, so a point's bits do not depend on which other
-points share the pass.  Zero coupling is frozen dynamics.
+lattice of ``cycle_lattice`` and at probe times fixed inside its cells
+(where two extrema may share a cell), and every Mittag-Leffler value
+depends on its own time only, so a point's bits do not depend on which
+other points share the pass.  Zero coupling is frozen dynamics.
 
 ``qsl_ratio_formula`` recomputes the same ratio through a second route:
 a closed-form numerator from the two eigenfactor values at tau, and a
@@ -44,6 +45,7 @@ from .errors import DegenerateState, InvalidParams
 from .jcmodel import (
     JCParams,
     QubitDynamics,
+    check_time,
     cycle_grid,
     cycle_lattice,
     evolve,
@@ -63,6 +65,9 @@ _SQRT2 = math.sqrt(2.0)
 # Gauss-Legendre points per panel of the closed-form route's |rate|
 # integral; a choice of its own, not the cut-mesh rule of ``mlfun``.
 _PANEL_POINTS = 15
+# Probe times per two-cell window in which the rate keeps its sign; see
+# ``_hidden_crossings``.
+_PROBES = 15
 
 
 @dataclass(frozen=True)
@@ -168,26 +173,75 @@ def _refine_crossings(
     return 0.5 * (a + b)
 
 
+def _hidden_crossings(
+    engine: QubitDynamics, t: np.ndarray, f: np.ndarray, before: float
+) -> tuple[np.ndarray, ...]:
+    """Sign changes of the rate that the nodes ``t`` step over.
+
+    Two extrema closer than a cell leave the rate with one sign at both
+    of its ends while it dips through zero and back between them.  Such a
+    dip shows on the nodes as a rate of one sign at three consecutive
+    nodes, smallest in magnitude at the middle one.  Each such window of
+    two cells is probed at ``_PROBES`` evenly spaced interior times; where
+    no sign change shows, the span around the probe of smallest |rate|
+    is probed once more the same way.  Pairs are found down to the second
+    level's probe spacing, 4 * cell / (_PROBES + 1)**2 = cell / 64, apart.
+    Every probe time is a function of the window's two outer nodes only,
+    so what is found does not depend on how far the nodes run past the
+    window.  Only windows that start before ``before`` are probed.
+
+    Returns the (lo, hi, f_lo, f_hi) brackets of the sign changes and the
+    probe times where the rate is exactly 0.
+    """
+    k = np.flatnonzero(
+        (f[:-2] * f[1:-1] > 0.0)
+        & (f[1:-1] * f[2:] > 0.0)
+        & (np.abs(f[1:-1]) < np.abs(f[:-2]))
+        & (np.abs(f[1:-1]) <= np.abs(f[2:]))
+        & (t[:-2] < before)
+    )
+    lo, hi, f_lo, f_hi = t[k], t[k + 2], f[k], f[k + 2]
+    frac = np.arange(1, _PROBES + 1) / (_PROBES + 1)
+    found = []
+    for _ in range(2):
+        if lo.size == 0:
+            break
+        probes = lo[:, None] + (hi - lo)[:, None] * frac
+        rates = engine.population_rate(probes.ravel()).reshape(probes.shape)
+        xs = np.column_stack([lo, probes, hi])
+        fs = np.column_stack([f_lo, rates, f_hi])
+        signs = fs[:, :-1] * fs[:, 1:]
+        rows, cols = np.nonzero(signs < 0.0)
+        lo_, hi_ = (rows, cols), (rows, cols + 1)
+        found.append((xs[lo_], xs[hi_], fs[lo_], fs[hi_], probes[rates == 0.0]))
+        quiet = np.flatnonzero(np.all(signs > 0.0, axis=1))
+        m = 1 + np.argmin(np.abs(rates[quiet]), axis=1)
+        lo, hi = xs[quiet, m - 1], xs[quiet, m + 1]
+        f_lo, f_hi = fs[quiet, m - 1], fs[quiet, m + 1]
+    if not found:
+        return (np.empty(0),) * 5
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
 def _extrema_times(
-    engine: QubitDynamics, times: np.ndarray, rates: np.ndarray
+    engine: QubitDynamics, times: np.ndarray, rates: np.ndarray, before: float = math.inf
 ) -> np.ndarray:
-    """Interior times where the population rate changes sign."""
+    """Interior times where the population rate changes sign.
+
+    Cells that start at or after ``before`` are left unsearched.
+    """
     # Node 0 carries the conventional rate 0; skip it in sign logic.
     t = times[1:]
     f = rates[1:]
-    exact = np.flatnonzero(f[:-1] == 0.0)
-    prod = f[:-1] * f[1:]
-    idx = np.flatnonzero(prod < 0.0)
-    pieces = []
-    if idx.size:
-        pieces.append(
-            _refine_crossings(engine, t[idx], t[idx + 1], f[idx], f[idx + 1])
-        )
-    if exact.size:
-        pieces.append(t[exact])
-    if not pieces:
-        return np.empty(0)
-    zs = np.concatenate(pieces)
+    idx = np.flatnonzero((f[:-1] * f[1:] < 0.0) & (t[:-1] < before))
+    lo, hi, f_lo, f_hi, exact = _hidden_crossings(engine, t, f, before)
+    lo = np.concatenate([t[idx], lo])
+    hi = np.concatenate([t[idx + 1], hi])
+    f_lo = np.concatenate([f[idx], f_lo])
+    f_hi = np.concatenate([f[idx + 1], f_hi])
+    zs = np.concatenate([t[:-1][f[:-1] == 0.0], exact])
+    if lo.size:
+        zs = np.concatenate([_refine_crossings(engine, lo, hi, f_lo, f_hi), zs])
     zs = zs[(zs > times[0]) & (zs < times[-1])]
     return np.unique(zs)
 
@@ -208,7 +262,7 @@ def _variation_to(
     endpoint values: a prefix sum over the extrema plus one endpoint term
     answers every end.
     """
-    zs = _extrema_times(engine, times, rates)
+    zs = _extrema_times(engine, times, rates, before=float(ends.max()))
     if zs.size:
         rho_z, _, _ = engine.population_sample(zs)
     else:
@@ -249,29 +303,23 @@ def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
     )
 
 
-def _check_tau(tau, what: str = "tau") -> None:
-    # A bool is an int to Python; True would pass as 1.
-    if isinstance(tau, bool) or not (
-        isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0
-    ):
-        raise InvalidParams(f"{what} must be positive, got {tau!r}")
-
-
 def _unit_curve(
-    engine: QubitDynamics, scaled: np.ndarray
+    engine: QubitDynamics, scaled: np.ndarray, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(B) and the total variation of rho_ee at each scaled time.
 
-    ``engine`` runs the unit-coupling dynamics.  The lattice runs to its
-    first node at or past the largest scaled time; the scaled times are
-    sampled in the same pass, but only lattice cells bracket extrema.
+    ``engine`` runs the unit-coupling dynamics and ``powers`` holds each
+    scaled time's s**beta.  The lattice runs past the largest scaled time;
+    the scaled times are sampled in the same pass, after the lattice
+    nodes, but only lattice cells bracket extrema.
     """
     lattice = cycle_lattice(1.0, float(scaled.max()))
-    times = np.union1d(lattice, scaled)
-    rho_ee, _, rates = engine.population_sample(times)
-    nodes = np.searchsorted(times, lattice)
-    rho_at = rho_ee[np.searchsorted(times, scaled)]
-    tvs = _variation_to(engine, lattice, rho_ee[nodes], rates[nodes], scaled, rho_at)
+    times = np.concatenate([lattice, scaled])
+    tb = np.concatenate([lattice**engine.params.beta, powers])
+    rho_ee, _, rates = engine.population_sample(times, tb)
+    n = lattice.size
+    rho_at = rho_ee[n:]
+    tvs = _variation_to(engine, lattice, rho_ee[:n], rates[:n], scaled, rho_at)
     return np.abs(rho_at - 1.0), tvs
 
 
@@ -287,22 +335,21 @@ def qsl_curve(params, taus) -> list[QslPoint]:
     zero coupling are frozen.  Every point equals its own ``qsl_point``
     bit for bit.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0 or not np.all(np.isfinite(taus) & (taus > 0.0)):
-        raise InvalidParams(f"taus must be finite positive times, got {taus!r}")
-    plist = [params] * taus.size if isinstance(params, JCParams) else list(params)
-    if len(plist) != taus.size:
-        raise InvalidParams(f"need one JCParams per tau, got {len(plist)} for {taus.size}")
+    if np.ndim(taus) != 1 or len(taus) == 0:
+        raise InvalidParams(f"taus must be a nonempty list of times, got {taus!r}")
+    plist = [params] * len(taus) if isinstance(params, JCParams) else list(params)
+    if len(plist) != len(taus):
+        raise InvalidParams(f"need one JCParams per tau, got {len(plist)} for {len(taus)}")
     beta, a, b = plist[0].beta, plist[0].a, plist[0].b
     if any((p.beta, p.a, p.b) != (beta, a, b) for p in plist):
         raise InvalidParams("the parameters of one curve must share (beta, a, b)")
-    scaled = np.array([scaled_time(p, float(tau)) for p, tau in zip(plist, taus)])
+    scaled, powers = np.array([scaled_time(p, tau) for p, tau in zip(plist, taus)]).T
     engine = QubitDynamics(JCParams(beta=beta, lam=1.0, n=0, a=a, b=b))
-    sin2s = np.zeros(taus.size)
-    tvs = np.zeros(taus.size)
-    moving = scaled > 0.0
+    sin2s = np.zeros(len(taus))
+    tvs = np.zeros(len(taus))
+    moving = powers > 0.0
     if np.any(moving):
-        sin2s[moving], tvs[moving] = _unit_curve(engine, scaled[moving])
+        sin2s[moving], tvs[moving] = _unit_curve(engine, scaled[moving], powers[moving])
     return [
         _point_from_variation(float(tau), float(sin2), float(tv))
         for tau, sin2, tv in zip(taus, sin2s, tvs)
@@ -311,7 +358,6 @@ def qsl_curve(params, taus) -> list[QslPoint]:
 
 def qsl_point(params: JCParams, tau: float) -> QslPoint:
     """Speed-limit ratios for the dynamics run up to time tau."""
-    _check_tau(tau)
     return qsl_curve(params, [tau])[0]
 
 
@@ -324,13 +370,10 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
     that pairing collapses to |d rho_ee/dt| times the unit trace of
     chi_tau, so the window average is the total variation over tau_d.
     """
-    if isinstance(tau, bool) or not (
-        isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0.0
-    ):
-        raise InvalidParams(f"tau must be nonnegative, got {tau!r}")
-    _check_tau(tau_d, "tau_d")
+    tau = check_time(tau, allow_zero=True)
+    tau_d = check_time(tau_d, "tau_d")
     engine = QubitDynamics(params)
-    t0, t1 = float(tau), float(tau + tau_d)
+    t0, t1 = tau, tau + tau_d
     # The window grid starts at t0 and ends at t1, so one sample serves
     # both the purity and the variation.
     times = cycle_grid(engine.oscillation_rate(), t0, t1)
@@ -371,8 +414,7 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     down to a cutoff below which the closed-form power law
     rho_gg ~ K t**(2 beta) supplies the remaining sliver.
     """
-    _check_tau(tau)
-    tau = float(tau)
+    tau = check_time(tau)
     engine = QubitDynamics(params)
     beta = params.beta
     g = params.coupling
@@ -380,6 +422,8 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     if g == 0.0:
         return 0.0
 
+    # The grid first: it refuses a cycle too fast to bracket.
+    times = cycle_grid(engine.oscillation_rate(), 0.0, tau)
     amps = evolve(params, tau)
     pg = abs(amps.c_g) ** 2
     norm = pg + abs(amps.c_e) ** 2
@@ -387,7 +431,6 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
         raise DegenerateState("amplitudes vanish; reduced state undefined")
     numer = pg / norm
 
-    times = cycle_grid(engine.oscillation_rate(), 0.0, tau)
     _, _, rates = engine.population_sample(times)
     zs = _extrema_times(engine, times, rates)
     bounds = np.concatenate([[0.0], zs, [tau]])

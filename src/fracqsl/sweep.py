@@ -24,7 +24,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -35,6 +34,7 @@ import numpy as np
 from ._version import VERSION
 from .errors import InvalidParams, TooFewPoints, UnknownFigure
 from .jcmodel import JCParams, scaled_time
+from .mlfun import is_real
 from .qsl import QslPoint, qsl_curve
 
 __all__ = [
@@ -105,7 +105,7 @@ class SweepSpec:
             raise InvalidParams(f"missing fixed parameters: {sorted(missing)}")
         fixed = {}
         for key, value in self.fixed.items():
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if not is_real(value):
                 raise InvalidParams(f"fixed {key!r} must be a real number, got {value!r}")
             fixed[key] = _integer(value) if key == "n" else float(value)
         object.__setattr__(self, "grid", grid)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracqsl.errors import DegenerateState, InvalidOrder, InvalidParams
+from fracqsl.errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
 from fracqsl.jcmodel import (
     JCParams,
     QubitDynamics,
@@ -247,15 +247,19 @@ class TestTrajectory:
 class TestScaledTime:
     def test_unit_coupling_time(self):
         p = JCParams(beta=0.5, lam=0.5, n=20)
-        assert scaled_time(p, 2.0) == p.coupling**2 * 2.0
-        assert scaled_time(JCParams(beta=0.5, lam=0.0, n=3), 1.0) == 0.0
+        assert scaled_time(p, 2.0) == (p.coupling**2 * 2.0, p.coupling * 2.0**0.5)
+        assert scaled_time(JCParams(beta=0.5, lam=0.0, n=3), 1.0) == (0.0, 0.0)
+
+    def test_underflowing_time_keeps_its_power(self):
+        # 1e-160**(1/0.5) is below the smallest normal double, but the
+        # Mittag-Leffler argument only needs s**beta = g * tau**beta.
+        assert scaled_time(JCParams(beta=0.5, lam=1e-160, n=0), 4.0) == (0.0, 2e-160)
 
     def test_refusals(self):
         p = JCParams(beta=0.5, lam=0.5, n=2)
         for tau in (0.0, -1.0, math.nan, True):
             with pytest.raises(InvalidParams):
                 scaled_time(p, tau)
-        # 0.05**(1/0.001) is far below the smallest normal double: the unit
-        # curve cannot represent this nonzero coupling.
-        with pytest.raises(InvalidParams, match="underflows"):
-            scaled_time(JCParams(beta=0.001, lam=0.05, n=0), 1.0)
+        # g**(1/beta) overflows a double: no grid can bracket that cycle.
+        with pytest.raises(GridTooCoarse):
+            scaled_time(JCParams(beta=0.002, lam=1.0, n=40), 1.0)

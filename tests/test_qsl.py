@@ -108,6 +108,9 @@ class TestGeometricBound:
         assert pt.ratio_op == 0.0
         assert pt.lambda_op == 0.0
         assert pt.sin2_bures == 0.0
+        # Here g**(1/beta) * tau underflows a double; the state moves by
+        # about g**2, below double resolution, so the point reads as frozen.
+        assert qsl_point(JCParams(beta=0.5, lam=1e-160, n=4), 1.0) == pt
 
     def test_tau_validation(self):
         p = JCParams(beta=0.5, lam=0.5, n=1)
@@ -298,6 +301,31 @@ class TestGridStability:
         for c, d in zip(coarse, dense):
             assert abs(c.ratio_op - d.ratio_op) < 1e-10
 
+    @pytest.mark.parametrize(
+        "beta, a, z, s",
+        [
+            # Two extrema 0.144 rad apart at s = 36.9, 1.1e-6 deep.
+            (0.9418401651184181, 0.6913436293422952, 36.9, 39.9),
+            # Two extrema 0.126 rad apart at s = 12.
+            (0.8786, 0.5858, 12.0, 15.0),
+        ],
+    )
+    def test_extrema_closer_than_a_cell_are_found(self, monkeypatch, beta, a, z, s):
+        # Both extrema of such a pair can fall inside one lattice cell,
+        # where the rate has one sign at both ends; missing them loses
+        # twice the pair's depth from the variation.  A lattice twenty
+        # times as dense brackets each pair directly.
+        p = JCParams(beta=beta, lam=1.0, n=0, a=a, b=math.sqrt(1.0 - a * a))
+        pt = qsl_point(p, s)
+        # Points next to the pair read the same probes alone and together.
+        taus = [z - 0.3, z - 0.05, z, z + 0.05, z + 0.3, s]
+        for tau, got in zip(taus, qsl_curve(p, taus)):
+            assert got == qsl_point(p, tau)
+        monkeypatch.setattr(jcmodel, "_NODES_PER_RADIAN", 51.0)
+        dense = qsl_point(p, s)
+        assert pt.lambda_op == pytest.approx(dense.lambda_op, rel=1e-10, abs=0.0)
+        assert pt.ratio_op == pytest.approx(dense.ratio_op, rel=1e-10, abs=0.0)
+
     def test_grid_cap_raises(self):
         # g**(1/beta) * tau ~ 4.3e5 rad needs ~1.1e6 nodes to bracket every
         # extremum; a clamped grid used to alias them without a signal.
@@ -306,3 +334,10 @@ class TestGridStability:
             qsl_point(p, 1.0)
         with pytest.raises(GridTooCoarse):
             qsl_ratio_formula(p, 1.0)
+        # Here g**(1/beta) itself overflows a double.
+        p = JCParams(beta=0.002, lam=1.0, n=40)
+        for bound in (qsl_point, qsl_ratio_formula):
+            with pytest.raises(GridTooCoarse):
+                bound(p, 1.0)
+        with pytest.raises(GridTooCoarse):
+            qsl_mlmt(p, 1.0, 1.0)
