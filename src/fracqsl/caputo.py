@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import gamma as gamma_fn
 
 from .errors import GridTooCoarse, InvalidOrder, InvalidParams
 
@@ -81,7 +79,7 @@ def _l1_sum(times: np.ndarray, values: np.ndarray, beta: float, idx: int) -> np.
     per_node = (slice(None),) + (None,) * (values.ndim - 1)
     slopes = (values[1 : idx + 1] - values[:idx]) / (tk1 - tk)[per_node]
     ker = ((tn - tk) ** (1.0 - beta) - (tn - tk1) ** (1.0 - beta))[per_node]
-    return np.sum(slopes * ker, axis=0) / gamma_fn(2.0 - beta)
+    return np.sum(slopes * ker, axis=0) / math.gamma(2.0 - beta)
 
 
 def caputo_derivative(signal: SampledSignal, beta: float, t_index: int) -> complex:
@@ -133,12 +131,12 @@ def caputo_derivative_all(signal: SampledSignal, beta: float) -> np.ndarray:
         h = times[1] - times[0]
         m = np.arange(1, n)
         w = m ** (1.0 - beta) - (m - 1) ** (1.0 - beta)
-        df = np.diff(values, axis=0)
-        if values.ndim == 1:
-            conv = fftconvolve(df, w)[: n - 1]
-        else:
-            conv = fftconvolve(df, w[:, None], axes=0)[: n - 1]
-        return conv * (h ** (-beta) / gamma_fn(2.0 - beta))
+        w = w[(slice(None),) + (None,) * (values.ndim - 1)]
+        # Zero padding to 2 * (n - 1) makes the cyclic product a linear one.
+        size = 2 * (n - 1)
+        spec = np.fft.fft(np.diff(values, axis=0), size, axis=0) * np.fft.fft(w, size, axis=0)
+        conv = np.fft.ifft(spec, axis=0)[: n - 1]
+        return conv * (h ** (-beta) / math.gamma(2.0 - beta))
     out = np.empty_like(values[1:])
     for idx in range(1, n):
         out[idx - 1] = _l1_sum(times, values, beta, idx)

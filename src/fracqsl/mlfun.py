@@ -35,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import rgamma
 
 from .errors import (
     BranchDomain,
@@ -80,6 +79,20 @@ _MAX_TERMS = 600
 _QUAD_CUTOFF = 1e8
 # Gauss-Legendre rule of every cut-mesh panel.
 _GAUSS_X, _GAUSS_W = leggauss(15)
+
+
+def rgamma(x: float) -> float:
+    """1/Gamma(x) for x > 0, without overflow at either end.
+
+    ``math.gamma`` overflows below x ~ 5.6e-309, where 1/Gamma(x) is x to
+    double precision, and above x ~ 171.62, where 1/Gamma(x) is already
+    subnormal; exp(-lgamma(x)) takes it from there down to 0.
+    """
+    if x < 1e-300:
+        return x
+    if x < 171.6:
+        return 1.0 / math.gamma(x)
+    return math.exp(-math.lgamma(x))
 
 
 def is_real(value) -> bool:
@@ -249,9 +262,23 @@ def _has_residue(beta: float, c: complex) -> bool:
     return abs(cmath.phase(c)) < beta * math.pi - 1e-13
 
 
+def _pole(beta: float, c: complex) -> complex:
+    """Residue pole c**(1/beta), refused before its modulus leaves double range.
+
+    At a tiny order a moderate |c| already puts |c|**(1/beta) past the
+    largest double, so the modulus is sized by its logarithm first.
+    """
+    log_rho = math.log(abs(c)) / beta
+    if log_rho > 709.0:
+        raise NonConvergence(
+            f"residue pole |c|**(1/beta) = e**{log_rho:.4g} exceeds double range"
+        )
+    return c ** (1.0 / beta)
+
+
 def _residue_factor(beta: float, gamma: float, c: complex) -> tuple[complex, complex]:
     """Pole c**(1/beta) and prefactor of the residue exp(pole*t)*pref."""
-    pole = c ** (1.0 / beta)
+    pole = _pole(beta, c)
     return pole, pole ** (1.0 - gamma) / beta
 
 
@@ -267,7 +294,7 @@ def _ml_contour(beta: float, gamma: float, z: complex) -> complex:
     mu = 3.0
     residue = None
     if _has_residue(beta, z):
-        pole = z ** (1.0 / beta)
+        pole = _pole(beta, z)
         rho = abs(pole)
         phi = abs(cmath.phase(pole))
         x_rel = math.sqrt(rho / mu) * math.cos(phi / 2.0)
@@ -391,7 +418,7 @@ def _series_coefficients(beta: float, gamma: float) -> np.ndarray:
     zp = 1.0
     small_run = 0
     for j in range(_MAX_TERMS):
-        a_j = float(rgamma(beta * j + gamma))
+        a_j = rgamma(beta * j + gamma)
         coeffs.append(a_j)
         bound = abs(a_j) * zp
         zp = zp * z_max
@@ -458,6 +485,9 @@ def ml_linear_batch(
     """
     if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
         raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
+    # rgamma and the cut weights need gamma > 0, as MLOrder requires.
+    if not all(gamma > 0.0 for _, gamma in pairs):
+        raise InvalidOrder(f"gamma must be positive, got {[g for _, g in pairs]!r}")
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise InvalidParams("ts must be a one-dimensional array")

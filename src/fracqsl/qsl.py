@@ -39,7 +39,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn
 
 from .errors import DegenerateState, InvalidParams
 from .jcmodel import (
@@ -435,7 +434,7 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     zs = _extrema_times(engine, times, rates)
     bounds = np.concatenate([[0.0], zs, [tau]])
 
-    k_coef = (a / b) ** 2 * (g / gamma_fn(1.0 + beta)) ** 2
+    k_coef = (a / b) ** 2 * (g / math.gamma(1.0 + beta)) ** 2
     eps = min(0.5 * bounds[1], (1e-13 / k_coef) ** (1.0 / (2.0 * beta)))
     sliver = k_coef * eps ** (2.0 * beta)
 

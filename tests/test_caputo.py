@@ -136,6 +136,28 @@ class TestBatchL1:
             want = caputo_derivative(sig, 0.7, idx)
             assert abs(all_vals[idx - 1] - want) < 1e-11 * (1.0 + abs(want))
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 64, 2001])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.93])
+    def test_fft_route_matches_pointwise_at_every_node(self, n, beta):
+        # Odd sizes and the smallest grids pin the zero-padding length of
+        # the FFT convolution; scalar and (n, 2) complex values share it.
+        # The signals are sums of random complex plane waves: smooth like
+        # the trajectories the route serves.  White noise on 2001 nodes
+        # would be ill-conditioned enough for the direct sum's own
+        # rounding to reach the bound.
+        rng = np.random.default_rng(n)
+        times = np.linspace(0.0, 1.5, n)
+        waves = np.exp(1j * np.outer(times, rng.uniform(-6.0, 6.0, 3)))
+        for cols in ((), (2,)):
+            amps = rng.standard_normal((3, *cols)) + 1j * rng.standard_normal((3, *cols))
+            vals = np.tensordot(waves, amps, axes=1)
+            sig = SampledSignal(times, vals)
+            all_vals = caputo_derivative_all(sig, beta)
+            assert all_vals.shape == vals[1:].shape
+            for idx in range(2, n):
+                want = caputo_derivative(sig, beta, idx)
+                assert np.all(np.abs(all_vals[idx - 1] - want) < 1e-11 * (1.0 + np.abs(want)))
+
     def test_vector_valued(self):
         times = np.linspace(0.0, 1.0, 33)
         vals = np.stack([times**2, np.sin(times)], axis=1)

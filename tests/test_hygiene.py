@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracqsl
@@ -69,3 +73,39 @@ def test_every_error_class_is_raised():
                 raised.add(exc.id)
     assert declared
     assert not declared - raised, f"error classes never raised: {sorted(declared - raised)}"
+
+
+def test_no_scipy_imports():
+    # numpy and the standard library are the only runtime dependencies;
+    # scipy serves the tests as an oracle.
+    assert SOURCES
+    found = []
+    for path, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported by library code: {found}"
+
+
+def test_cli_query_loads_no_scipy():
+    # A fresh interpreter, so nothing the test session imported counts.
+    script = (
+        "import json, sys\n"
+        "from fracqsl.cli import main\n"
+        "code = main(['ml', '-1.5', '--beta', '0.8'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(fracqsl.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert not loaded, f"scipy modules loaded by a CLI query: {loaded[:10]}"

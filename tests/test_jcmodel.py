@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracqsl.errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
+from fracqsl.errors import (
+    DegenerateState,
+    GridTooCoarse,
+    InvalidOrder,
+    InvalidParams,
+    NonConvergence,
+)
 from fracqsl.jcmodel import (
     JCParams,
     QubitDynamics,
@@ -19,6 +25,7 @@ from fracqsl.jcmodel import (
     interaction_hamiltonian,
     scaled_time,
 )
+from fracqsl.mlfun import MLOrder, ml_global
 
 HALF = math.sqrt(0.5)
 
@@ -125,6 +132,15 @@ class TestEvolve:
             evolve(p, -0.1)
         with pytest.raises(InvalidParams):
             evolve(p, True)
+
+    def test_pole_past_double_range_is_refused(self):
+        # At beta = 0.002 the residue pole |z|**(1/beta) of z ~ 6.4 is
+        # e**928, past the largest double: a typed refusal, not Python's
+        # OverflowError from the complex power.
+        with pytest.raises(NonConvergence, match="pole"):
+            ml_global(MLOrder(0.002), 6.4)
+        with pytest.raises(NonConvergence, match="pole"):
+            evolve(JCParams(beta=0.002, lam=1.0, n=40), 1.0)
 
     def test_matches_engine(self):
         p = JCParams(beta=0.6, lam=0.7, n=5)

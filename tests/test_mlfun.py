@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from fracqsl.mlfun import (
     ml_series,
     ml_split,
     ml_time_derivative,
+    rgamma,
     series_radius,
 )
 
@@ -87,6 +90,37 @@ class TestKnownValues:
         want = 408.5483044653111 - 9.175640463492796j
         got = ml_global(MLOrder(beta, beta), z)
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestReciprocalGamma:
+    @staticmethod
+    def want(x: float) -> float:
+        with mp.workdps(40):
+            return float(mp.rgamma(mp.mpf(x)))
+
+    def test_matches_mpmath_below_overflow(self):
+        # Tiny arguments (math.gamma overflows below ~5.6e-309), a spread
+        # over the whole range, and both sides of 171, where 1/Gamma(x)
+        # nears the subnormal range.
+        rng = np.random.default_rng(17)
+        xs = [5e-324, 1e-310, 1e-300, 0.5, 1.0, 2.0, 170.99, 171.0, 171.01, 171.3, 171.59]
+        xs += [float(x) for x in np.geomspace(1e-12, 171.5, 60)]
+        xs += [float(x) for x in rng.uniform(0.0, 171.6, 200) if x > 0.0]
+        for x in xs:
+            want = self.want(x)
+            assert abs(rgamma(x) - want) <= 2e-15 * want, x
+
+    def test_past_gamma_overflow_is_subnormal_or_zero(self):
+        with pytest.raises(OverflowError):
+            math.gamma(171.7)
+        tiny = sys.float_info.min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (171.6, 171.7, 172.0, 175.0, 178.0, 180.0, 1e4, 1e300):
+                got = rgamma(x)
+                assert math.isfinite(got) and 0.0 <= got < tiny, x
+                # Absolute error far below the smallest normal double.
+                assert abs(got - self.want(x)) <= 1e-12 * tiny, x
 
 
 class TestSeries:
@@ -307,6 +341,11 @@ class TestLinearBatch:
         got = ml_linear_batch(1.0, [(1.5j, 1.0), (-0.5 + 0.0j, 1.0)], ts)
         assert np.allclose(got[0], np.exp(1.5j * ts))
         assert np.allclose(got[1], np.exp(-0.5 * ts))
+
+    def test_rejects_nonpositive_gamma(self):
+        for gamma in (0.0, -0.5, math.nan):
+            with pytest.raises(InvalidOrder):
+                ml_linear_batch(0.5, [(1.0j, 1.0), (1.0j, gamma)], [1.0])
 
     def test_rejects_negative_times(self):
         with pytest.raises(InvalidParams):
