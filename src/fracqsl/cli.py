@@ -74,23 +74,16 @@ def _resolve_threads(value: int | None) -> int:
     return threads
 
 
-def _add_model_args(sp, with_weights: bool = True) -> None:
+def _add_model_args(sp) -> None:
     sp.add_argument("--beta", type=float, required=True, help="fractional order in (0, 1]")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.5, help="coupling in [0, 1]")
     sp.add_argument("--n", type=int, default=0, help="photon number (non-negative)")
-    if with_weights:
-        sp.add_argument("--a", type=float, default=math.sqrt(0.5), help="ground-branch weight")
-        sp.add_argument("--b", type=float, default=math.sqrt(0.5), help="excited-branch weight")
+    sp.add_argument("--a", type=float, default=math.sqrt(0.5), help="ground-branch weight")
+    sp.add_argument("--b", type=float, default=math.sqrt(0.5), help="excited-branch weight")
 
 
 def _params_from(args) -> JCParams:
-    return JCParams(
-        beta=args.beta,
-        lam=args.lam,
-        n=args.n,
-        a=getattr(args, "a", math.sqrt(0.5)),
-        b=getattr(args, "b", math.sqrt(0.5)),
-    )
+    return JCParams(beta=args.beta, lam=args.lam, n=args.n, a=args.a, b=args.b)
 
 
 def _cmd_ml(args) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "QubitDynamics",
     "interaction_hamiltonian",
     "evolve",
-    "cycle_grid",
     "cycle_lattice",
     "scaled_time",
     "check_time",
@@ -289,25 +288,6 @@ def scaled_time(params: JCParams, tau: float) -> tuple[float, float]:
     return s, g * tau**params.beta
 
 
-def _lattice(omega: float, t_start: float, t_end: float, extra: int = 0) -> np.ndarray:
-    """Lattice nodes k * h / omega from the last at or below t_start to
-    ``extra`` nodes past the first at or above t_end, after the geometric
-    head when t_start is 0."""
-    _check_nodes(omega * (t_end - t_start))
-    step = 1.0 / _NODES_PER_RADIAN
-    k_lo = math.floor(t_start * omega / step)
-    while k_lo > 0 and k_lo * step / omega > t_start:
-        k_lo -= 1
-    k_hi = max(math.ceil(t_end * omega / step), k_lo + 1)
-    while k_hi * step / omega < t_end:
-        k_hi += 1
-    body = np.arange(k_lo, k_hi + 1 + extra) * step / omega
-    if k_lo > 0:
-        return body
-    head = step / omega * 3.0 ** -np.arange(_HEAD_NODES, 0, -1)
-    return np.concatenate([body[:1], head, body[1:]])
-
-
 def cycle_lattice(omega: float, t_end: float) -> np.ndarray:
     """Sampling lattice from 0 for a population cycling at rate omega > 0.
 
@@ -317,24 +297,15 @@ def cycle_lattice(omega: float, t_end: float) -> np.ndarray:
     t_end, so that every window of two cells that starts below t_end is
     whole.  A node's position never depends on t_end: the lattice up to
     t1 is a bitwise prefix of the lattice up to any later t2, and every
-    cell between two nodes is the same cell in both.  Raises
-    GridTooCoarse like ``cycle_grid``.
+    cell between two nodes is the same cell in both.  A lattice that
+    would need more than 60000 nodes raises GridTooCoarse rather than
+    alias its extrema.
     """
-    return _lattice(omega, 0.0, t_end, extra=1)
-
-
-def cycle_grid(omega: float, t_start: float, t_end: float) -> np.ndarray:
-    """Sampling grid on [t_start, t_end] for a population cycling at rate omega.
-
-    The nodes of ``cycle_lattice`` strictly inside the window, about 2.55
-    per radian of the cycle so that extrema at least one step apart are
-    bracketed, plus both ends; a window starting at 0 keeps the
-    lattice's geometric head.  A window that would need more than 60000
-    nodes raises GridTooCoarse rather than alias its extrema.  Zero omega
-    has no cycle to resolve: the grid is the window's two ends.
-    """
-    if omega == 0.0:
-        return np.array([t_start, t_end], dtype=float)
-    nodes = _lattice(omega, t_start, t_end)
-    inside = nodes[(nodes > t_start) & (nodes < t_end)]
-    return np.concatenate([[t_start], inside, [t_end]])
+    _check_nodes(omega * t_end)
+    step = 1.0 / _NODES_PER_RADIAN
+    k_hi = max(math.ceil(t_end * omega / step), 1)
+    while k_hi * step / omega < t_end:
+        k_hi += 1
+    body = np.arange(k_hi + 2) * step / omega
+    head = step / omega * 3.0 ** -np.arange(_HEAD_NODES, 0, -1)
+    return np.concatenate([body[:1], head, body[1:]])

@@ -288,12 +288,18 @@ def _ml_contour(beta: float, gamma: float, z: complex) -> complex:
     Midpoint trapezoid on s = mu*(1+i*u)**2; the pole z**(1/beta), when it
     exists on the principal sheet, is either enclosed (and its residue
     added) or left outside, decided by its position relative to the
-    contour.  Marginal placements move mu instead.
+    contour.  Marginal placements move mu instead.  A pole past double
+    range whose phase is past pi/2 by far more than rounding has a real
+    part below -1e299, so its residue is exactly 0 and is skipped; on the
+    ray |arg z| = beta*pi/2 the phase is unresolved and ``_pole`` refuses.
     """
     z = complex(z)
     mu = 3.0
     residue = None
-    if _has_residue(beta, z):
+    if _has_residue(beta, z) and not (
+        math.log(abs(z)) / beta > 709.0
+        and abs(cmath.phase(z)) / beta > 0.5 * math.pi * (1.0 + 1e-9)
+    ):
         pole = _pole(beta, z)
         rho = abs(pole)
         phi = abs(cmath.phase(pole))

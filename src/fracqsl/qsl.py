@@ -22,14 +22,16 @@ lattice of ``cycle_lattice`` and at probe times fixed inside its cells
 (where two extrema may share a cell), and every Mittag-Leffler value
 depends on its own time only, so a point's bits do not depend on which
 other points share the pass.  Zero coupling is frozen dynamics.
+``qsl_mlmt`` bounds the time a state needs to reach the relative purity
+observed a window tau_D later; it reads both window ends from the same
+kind of pass, and its variation is the difference of their prefix sums.
 
 ``qsl_ratio_formula`` recomputes the same ratio through a second route:
 a closed-form numerator from the two eigenfactor values at tau, and a
 panelwise Gauss-Legendre quadrature of |rate| for the denominator.  Only
 the numerator is independent of the pipeline: the quadrature panels
-reuse its sampling grid, extremum search and population rate.
-``qsl_mlmt`` bounds the time a state needs to reach the relative purity
-observed a window tau_D later.
+reuse its lattice (at the actual coupling's rate rather than in scaled
+time), extremum search and population rate.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .jcmodel import (
     JCParams,
     QubitDynamics,
     check_time,
-    cycle_grid,
     cycle_lattice,
     evolve,
     scaled_time,
@@ -227,9 +228,10 @@ def _extrema_times(
 ) -> np.ndarray:
     """Interior times where the population rate changes sign.
 
-    Cells that start at or after ``before`` are left unsearched.
+    ``times`` must start at 0, where the rate carries the conventional
+    value 0 (see ``population_sample``); node 0 is left out of the sign
+    logic.  Cells that start at or after ``before`` are left unsearched.
     """
-    # Node 0 carries the conventional rate 0; skip it in sign logic.
     t = times[1:]
     f = rates[1:]
     idx = np.flatnonzero((f[:-1] * f[1:] < 0.0) & (t[:-1] < before))
@@ -303,23 +305,33 @@ def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
 
 
 def _unit_curve(
-    engine: QubitDynamics, scaled: np.ndarray, powers: np.ndarray
+    params: JCParams, scaled: np.ndarray, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2(B) and the total variation of rho_ee at each scaled time.
+    """rho_ee and its total variation from 0 at each scaled time.
 
-    ``engine`` runs the unit-coupling dynamics and ``powers`` holds each
-    scaled time's s**beta.  The lattice runs past the largest scaled time;
-    the scaled times are sampled in the same pass, after the lattice
-    nodes, but only lattice cells bracket extrema.
+    The unit-coupling dynamics share (beta, a, b) with ``params``, and
+    ``powers`` holds each scaled time's s**beta.  A time whose power is 0
+    (zero coupling, or the window start tau = 0) is frozen: rho_ee 1,
+    variation 0.  The lattice runs past the largest scaled time; the
+    scaled times are sampled in the same pass, after the lattice nodes,
+    but only lattice cells bracket extrema.
     """
+    engine = QubitDynamics(JCParams(beta=params.beta, lam=1.0, n=0, a=params.a, b=params.b))
+    rho = np.ones(scaled.size)
+    tvs = np.zeros(scaled.size)
+    moving = powers > 0.0
+    if not np.any(moving):
+        return rho, tvs
+    scaled, powers = scaled[moving], powers[moving]
     lattice = cycle_lattice(1.0, float(scaled.max()))
     times = np.concatenate([lattice, scaled])
-    tb = np.concatenate([lattice**engine.params.beta, powers])
+    tb = np.concatenate([lattice**params.beta, powers])
     rho_ee, _, rates = engine.population_sample(times, tb)
     n = lattice.size
     rho_at = rho_ee[n:]
-    tvs = _variation_to(engine, lattice, rho_ee[:n], rates[:n], scaled, rho_at)
-    return np.abs(rho_at - 1.0), tvs
+    rho[moving] = rho_at
+    tvs[moving] = _variation_to(engine, lattice, rho_ee[:n], rates[:n], scaled, rho_at)
+    return rho, tvs
 
 
 def qsl_curve(params, taus) -> list[QslPoint]:
@@ -343,15 +355,10 @@ def qsl_curve(params, taus) -> list[QslPoint]:
     if any((p.beta, p.a, p.b) != (beta, a, b) for p in plist):
         raise InvalidParams("the parameters of one curve must share (beta, a, b)")
     scaled, powers = np.array([scaled_time(p, tau) for p, tau in zip(plist, taus)]).T
-    engine = QubitDynamics(JCParams(beta=beta, lam=1.0, n=0, a=a, b=b))
-    sin2s = np.zeros(len(taus))
-    tvs = np.zeros(len(taus))
-    moving = powers > 0.0
-    if np.any(moving):
-        sin2s[moving], tvs[moving] = _unit_curve(engine, scaled[moving], powers[moving])
+    rho, tvs = _unit_curve(plist[0], scaled, powers)
     return [
         _point_from_variation(float(tau), float(sin2), float(tv))
-        for tau, sin2, tv in zip(taus, sin2s, tvs)
+        for tau, sin2, tv in zip(taus, np.abs(rho - 1.0), tvs)
     ]
 
 
@@ -368,21 +375,26 @@ def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
     paired (descending) with those of chi_tau.  For this diagonal model
     that pairing collapses to |d rho_ee/dt| times the unit trace of
     chi_tau, so the window average is the total variation over tau_d.
+
+    Both window ends are read from one pass over the unit-coupling curve,
+    as ``qsl_curve`` reads its points: the window's variation is the
+    variation up to s1 = g**(1/beta) * (tau + tau_d) less that up to s0,
+    and the purity comes from the same samples.  Raises GridTooCoarse
+    where ``qsl_point(params, tau + tau_d)`` does.
     """
     tau = check_time(tau, allow_zero=True)
     tau_d = check_time(tau_d, "tau_d")
-    engine = QubitDynamics(params)
-    t0, t1 = tau, tau + tau_d
-    # The window grid starts at t0 and ends at t1, so one sample serves
-    # both the purity and the variation.
-    times = cycle_grid(engine.oscillation_rate(), t0, t1)
-    rho_e, rho_g, rates = engine.population_sample(times)
-    chi_tau = np.array([rho_g[0], rho_e[0]])
-    chi_later = np.array([rho_g[-1], rho_e[-1]])
+    # The end first: where it is past the node cap, so is the window.
+    end = scaled_time(params, tau + tau_d)
+    start = scaled_time(params, tau) if tau > 0.0 else (0.0, 0.0)
+    scaled, powers = np.array([start, end]).T
+    (rho0, rho1), (tv0, tv1) = _unit_curve(params, scaled, powers)
+    chi_tau = np.array([1.0 - rho0, rho0])
+    chi_later = np.array([1.0 - rho1, rho1])
     tr_sq = float(np.sum(chi_tau**2))
     overlap = float(np.sum(chi_later * chi_tau))
     rel_purity = overlap / tr_sq
-    tv = float(_variation_to(engine, times, rho_e, rates, times[-1:], rho_e[-1:])[0])
+    tv = float(tv1 - tv0)
 
     avg_sv = tv / tau_d
     avg_hs = _SQRT2 * avg_sv
@@ -421,8 +433,8 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     if g == 0.0:
         return 0.0
 
-    # The grid first: it refuses a cycle too fast to bracket.
-    times = cycle_grid(engine.oscillation_rate(), 0.0, tau)
+    # The lattice first: it refuses a cycle too fast to bracket.
+    times = cycle_lattice(engine.oscillation_rate(), tau)
     amps = evolve(params, tau)
     pg = abs(amps.c_g) ** 2
     norm = pg + abs(amps.c_e) ** 2
@@ -431,7 +443,8 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
     numer = pg / norm
 
     _, _, rates = engine.population_sample(times)
-    zs = _extrema_times(engine, times, rates)
+    zs = _extrema_times(engine, times, rates, before=tau)
+    zs = zs[zs < tau]
     bounds = np.concatenate([[0.0], zs, [tau]])
 
     k_coef = (a / b) ** 2 * (g / math.gamma(1.0 + beta)) ** 2

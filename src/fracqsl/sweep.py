@@ -33,7 +33,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import InvalidParams, TooFewPoints, UnknownFigure
-from .jcmodel import JCParams, scaled_time
+from .jcmodel import JCParams, check_time, scaled_time
 from .mlfun import is_real
 from .qsl import QslPoint, qsl_curve
 
@@ -116,9 +116,7 @@ class SweepSpec:
         varied = _AXIS_PARAM[self.axis]
         value = float(value)
         kw = {**self.fixed, varied: value}
-        tau = kw.pop("tau")
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise InvalidParams(f"tau must be positive, got {tau!r}")
+        tau = check_time(kw.pop("tau"))
         if varied == "n":
             kw["n"] = _integer(value)
         return JCParams(**kw), tau

@@ -188,6 +188,19 @@ class TestGlobalDispatch:
         with pytest.raises(NonConvergence):
             ml_global(MLOrder(1.0), 800.0 + 0.0j)
 
+    @pytest.mark.parametrize("r, frac", [(6.4, 0.9), (6.4, -0.9), (20.0, 0.6)])
+    def test_pole_past_double_range_left_of_axis(self, r, frac):
+        # At beta = 0.002 the pole |z|**(1/beta) is past double range, but
+        # with |arg z| = frac * beta * pi its phase frac * pi lies past
+        # pi/2: the residue underflows to 0 and the contour alone is the
+        # value.  Oracle: the asymptotic sum -sum z**-k / Gamma(1 - beta*k).
+        beta = 0.002
+        z = r * cmath.exp(1j * frac * beta * math.pi)
+        with mp.workdps(40):
+            zm = mp.mpc(z)
+            want = complex(-mp.fsum(zm**-k * mp.rgamma(1 - beta * k) for k in range(1, 200)))
+        assert abs(ml_global(MLOrder(beta), z) - want) < 1e-13 * abs(want)
+
     @settings(max_examples=60, deadline=None)
     @given(
         beta=st.floats(0.2, 1.0),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fracqsl import jcmodel
 from fracqsl.errors import GridTooCoarse, InvalidParams
-from fracqsl.jcmodel import JCParams
+from fracqsl.jcmodel import JCParams, QubitDynamics
 from fracqsl.qsl import MLMTResult, QslPoint, qsl_curve, qsl_mlmt, qsl_point, qsl_ratio_formula
 
 
@@ -239,8 +239,82 @@ class TestWindowBound:
         assert res.relative_purity == pytest.approx(overlap / tr_sq, rel=1e-10)
         assert res.tau_qsl == pytest.approx(want, rel=1e-8)
 
+    def test_late_window_matches_rabi_closed_form(self):
+        # A window far from 0 whose first lattice cell holds an extremum;
+        # a grid that started at the window's start skipped that cell.
+        p = JCParams(beta=1.0, lam=1.0, n=0)
+        tau, tau_d = 157.0, 1.0
+        res = qsl_mlmt(p, tau, tau_d)
+        ee = lambda t: math.cos(t) ** 2
+        gg = lambda t: math.sin(t) ** 2
+        tr_sq = ee(tau) ** 2 + gg(tau) ** 2
+        overlap = ee(tau + tau_d) * ee(tau) + gg(tau + tau_d) * gg(tau)
+        tv = rabi_variation(1.0, tau + tau_d) - rabi_variation(1.0, tau)
+        want = abs(overlap / tr_sq - 1.0) * tr_sq / (tv / tau_d)
+        assert res.relative_purity == pytest.approx(overlap / tr_sq, rel=1e-10)
+        assert res.avg_sv == pytest.approx(tv / tau_d, rel=1e-10)
+        assert res.tau_qsl == pytest.approx(want, rel=1e-10)
+
+    def test_fractional_window_matches_dense_sampling(self):
+        # The window variation was about half the dense-sampling value
+        # when the window's first cell went unsearched.
+        a = 0.35967
+        p = JCParams(beta=0.79717, lam=0.95756, n=1, a=a, b=math.sqrt(1.0 - a * a))
+        tau, tau_d = 0.88699, 0.55981
+        res = qsl_mlmt(p, tau, tau_d)
+        ts = np.linspace(tau, tau + tau_d, 400001)
+        rho_ee, _ = QubitDynamics(p).populations(ts)
+        dense = float(np.sum(np.abs(np.diff(rho_ee))))
+        assert res.avg_sv * tau_d == pytest.approx(dense, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        beta=st.floats(0.2, 1.0),
+        lam=st.floats(0.05, 1.0),
+        n=st.integers(0, 40),
+        a=st.one_of(st.none(), st.floats(0.35, 0.93)),
+        tau=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+        tau_d=st.floats(0.05, 1.0),
+    )
+    def test_window_coupling_time_scale_invariance(self, beta, lam, n, a, tau, tau_d):
+        # The window at coupling g is the unit-coupling window at the
+        # rescaled times: same purity, speeds times the scale, bound time
+        # over it.
+        assume(abs(beta - 2.0 / 3.0) >= 0.005)
+        scale = (lam * math.sqrt(n + 1.0)) ** (1.0 / beta)
+        assume(scale * (tau + tau_d) <= 400.0)
+        a = math.sqrt(0.5) if a is None else a
+        b = math.sqrt(1.0 - a * a)
+        res = qsl_mlmt(JCParams(beta=beta, lam=lam, n=n, a=a, b=b), tau, tau_d)
+        unit = qsl_mlmt(JCParams(beta=beta, lam=1.0, n=0, a=a, b=b), scale * tau, scale * tau_d)
+        assert res.relative_purity == pytest.approx(unit.relative_purity, rel=0.0, abs=1e-10)
+        assert res.avg_sv == pytest.approx(scale * unit.avg_sv, rel=1e-10, abs=0.0)
+        assert scale * res.tau_qsl == pytest.approx(
+            unit.tau_qsl, rel=1e-10, abs=1e-10 * scale * tau_d
+        )
+
+    def test_window_end_past_the_cap_is_refused(self):
+        # The window end decides, as for qsl_point at tau + tau_d: the cap
+        # of 60000 nodes at 2.55 per radian ends at s = 23529.41...
+        p = JCParams(beta=1.0, lam=1.0, n=0)
+        for tau, tau_d in [(20000.0, 3529.41), (20000.0, 3529.42), (0.0, 23529.42)]:
+            try:
+                qsl_point(p, tau + tau_d)
+            except GridTooCoarse:
+                with pytest.raises(GridTooCoarse):
+                    qsl_mlmt(p, tau, tau_d)
+            else:
+                assert qsl_mlmt(p, tau, tau_d).tau_qsl <= tau_d
+        with pytest.raises(GridTooCoarse):
+            qsl_point(p, 23529.42)
+        # The window start fits under the cap, its end does not.
+        p = JCParams(beta=0.2, lam=1.0, n=40)
+        for tau in (2.0, 5.0):
+            with pytest.raises(GridTooCoarse):
+                qsl_mlmt(p, tau, 0.3)
+
     def test_zero_coupling_window(self):
-        # No cycle to resolve: the window grid is its two ends.
+        # Frozen dynamics: the state never leaves |e, n>.
         res = qsl_mlmt(JCParams(beta=0.5, lam=0.0, n=4), 0.5, 1.0)
         assert res.tau_qsl == 0.0
         assert res.relative_purity == 1.0
@@ -294,9 +368,13 @@ class TestGridStability:
             (JCParams(beta=0.3, lam=0.4, n=5), 1.5),
         ]
         coarse = [qsl_point(params, tau) for params, tau in cases]
-        coarse_nodes = jcmodel.cycle_grid(1.0, 1.0, 101.0)[1:-1].size
+        def interior_nodes():
+            nodes = jcmodel.cycle_lattice(1.0, 101.0)
+            return nodes[(nodes > 1.0) & (nodes < 101.0)].size
+
+        coarse_nodes = interior_nodes()
         monkeypatch.setattr(jcmodel, "_NODES_PER_RADIAN", 5.1)
-        assert jcmodel.cycle_grid(1.0, 1.0, 101.0)[1:-1].size >= 2 * coarse_nodes
+        assert interior_nodes() >= 2 * coarse_nodes
         dense = [qsl_point(params, tau) for params, tau in cases]
         for c, d in zip(coarse, dense):
             assert abs(c.ratio_op - d.ratio_op) < 1e-10
