@@ -299,11 +299,17 @@ def cycle_lattice(omega: float, t_end: float) -> np.ndarray:
     t1 is a bitwise prefix of the lattice up to any later t2, and every
     cell between two nodes is the same cell in both.  A lattice that
     would need more than 60000 nodes raises GridTooCoarse rather than
-    alias its extrema.
+    alias its extrema, and so does a rate so slow (an underflowing
+    g**(1/beta)) that the lattice's nodes leave double range.
     """
     _check_nodes(omega * t_end)
     step = 1.0 / _NODES_PER_RADIAN
     k_hi = max(math.ceil(t_end * omega / step), 1)
+    if omega == 0.0 or not math.isfinite((k_hi + 2) * step / omega):
+        raise GridTooCoarse(
+            f"cycle rate {omega!r} underflows: a lattice step of {step:.4g} "
+            "rad at that rate lasts past double range"
+        )
     while k_hi * step / omega < t_end:
         k_hi += 1
     body = np.arange(k_hi + 2) * step / omega

@@ -11,17 +11,21 @@ Three complementary evaluation routes are provided:
   the cut integral along the negative axis carries the algebraic decay.
 * ``_ml_contour``: numerical Bromwich inversion on a parabolic contour,
   uniformly valid in the argument plane; used by ``ml_global`` outside the
-  series radius and as a fallback when the cut integrand is ill-placed.
+  series radius.
 
 ``ml_linear_batch`` evaluates E_{beta,gamma}(c * t**beta) for several
 (c, gamma) pairs on a shared time grid.  Small arguments go through one
 Horner pass over all pairs at once, with Taylor tables cached per
-(beta, gamma).  The rest go through branch-cut meshes, one per dyadic
-time window [2**(e-1), 2**e), cached with the pairs' weight columns: the
-exponential factor of the cut integral depends only on the quadrature
-nodes and the time and is real, so it is computed once per time and
-multiplied by every pair's (re, im) weights.  Every value depends only
-on its own time, never on the batch it was evaluated in.
+(beta, gamma).  The rest go through Bromwich contours of their own, one
+parabola per dyadic time window [2**(e-1), 2**e), cached with the pairs'
+weight columns.  A window's contour is sized from the window bounds and
+the pairs' poles alone: each pole is either enclosed, and its residue
+added, or left outside.  The factor exp(s_k * t) of the trapezoid sum
+depends only on the nodes and the time, so it is computed once per time
+(one complex exp, then powers of it) and multiplied by every pair's
+weights.  Every value depends only on its own time, never on the batch
+it was evaluated in.  The batch shares no code with ``_ml_contour`` or
+with the cut mesh of ``ml_split``.
 """
 
 from __future__ import annotations
@@ -67,9 +71,9 @@ _CONTOUR_NODES = 300
 # Minimum angular distance of a cut-integrand root from the positive axis
 # before the quadrature refuses (the two roots sit at arg(c) +- beta*pi).
 _MIN_ROOT_ANGLE = 5e-3
-# Below this angle the shared-mesh batch evaluator switches the affected
-# coefficient to the contour route instead of refining panels further.
-_BATCH_CONTOUR_ANGLE = 2e-2
+# E-folds of the batch's window contours: truncation, discretisation and
+# pole errors of their trapezoid sums are each held to e**-36 ~ 2e-16.
+_WINDOW_EFOLDS = 36.0
 # Root angles below this get extra zoom panels around |c| in the mesh.
 _ZOOM_ANGLE = 0.45
 # Series term budget before NonConvergence is raised.
@@ -180,37 +184,20 @@ def _cut_roots(beta: float, c: complex) -> tuple[complex, complex]:
     return c * cmath.exp(1j * beta * math.pi), c * cmath.exp(-1j * beta * math.pi)
 
 
-def _min_root_angle(beta: float, cs: Sequence[complex]) -> float:
-    """Smallest |arg(root)| over the cut-integrand roots of all coefficients."""
-    d = math.inf
-    for c in cs:
-        for r in _cut_roots(beta, c):
-            d = min(d, abs(cmath.phase(r)))
-    return d
-
-
-def _cut_mesh(
-    beta: float,
-    t_lo: float,
-    t_hi: float,
-    cs: Sequence[complex],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre mesh in x = r**beta for the branch-cut integral.
+def _cut_mesh(beta: float, t: float, c: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre mesh in x = r**beta for the branch-cut integral at time t.
 
     The integrand carries exp(-x**(1/beta) * t) times a rational factor
     whose roots sit at c*exp(+-i*beta*pi).  One panel spans [0, 1e-9 *
-    x_break] with x_break = t_hi**(-beta); geometric head panels above it
+    x_break] with x_break = t**(-beta); geometric head panels above it
     resolve the algebraic endpoint behavior up to x_break, e-fold-budgeted
-    tail panels track the exponential over the whole [t_lo, t_hi] range,
-    and zoom panels are inserted around |c| whenever a root approaches the
-    integration axis.
+    tail panels track the exponential, and zoom panels are inserted around
+    |c| whenever a root approaches the integration axis.
     Returns (nodes, weights, nodes**(1/beta)).
     """
-    if not (0.0 < t_lo <= t_hi):
-        raise InvalidParams("cut mesh needs 0 < t_lo <= t_hi")
-    r_hi = min(_EFOLDS / t_lo, _QUAD_CUTOFF)
+    r_hi = min(_EFOLDS / t, _QUAD_CUTOFF)
     x_hi = r_hi**beta
-    x_break = min((1.0 / t_hi) ** beta, x_hi)
+    x_break = min((1.0 / t) ** beta, x_hi)
     # A single panel from 0 covers x < 1e-9 * x_break: for gamma <= 1 the
     # integrand there is a nonnegative power of x times a nearly constant
     # factor, so its share of the integral is of order 1e-9 or below.
@@ -223,7 +210,7 @@ def _cut_mesh(
         edges.append(edges[-1] * r_tail)
     edge_arr = [np.asarray(edges)]
 
-    d_min = _min_root_angle(beta, cs)
+    d_min = min(abs(cmath.phase(r)) for r in _cut_roots(beta, c))
     if d_min < _ZOOM_ANGLE:
         if d_min < _MIN_ROOT_ANGLE:
             raise QuadratureFailure(
@@ -231,12 +218,11 @@ def _cut_mesh(
                 f"{d_min:.2e} rad of the positive axis; refine budget exceeded"
             )
         ratio = math.exp(max(d_min, 0.02) / 3.0)
-        for ac in sorted({abs(c) for c in cs}):
-            lo = max(ac * math.exp(-1.5), x_head)
-            hi = min(ac * math.exp(1.5), x_hi)
-            if lo < hi:
-                count = int(math.ceil(math.log(hi / lo) / math.log(ratio))) + 1
-                edge_arr.append(np.geomspace(lo, hi, count + 1))
+        lo = max(abs(c) * math.exp(-1.5), x_head)
+        hi = min(abs(c) * math.exp(1.5), x_hi)
+        if lo < hi:
+            count = int(math.ceil(math.log(hi / lo) / math.log(ratio))) + 1
+            edge_arr.append(np.geomspace(lo, hi, count + 1))
     all_edges = np.unique(np.concatenate(edge_arr))
     all_edges = all_edges[all_edges <= x_hi]
 
@@ -364,7 +350,7 @@ def _split_parts(beta: float, alpha: float, t: float) -> tuple[complex, complex]
                 "negative eigenvalue with beta <= 2/3: principal branch leaves "
                 "the first sheet; use ml_global instead"
             )
-    xm, wm, y = _cut_mesh(beta, t, t, [c])
+    xm, wm, y = _cut_mesh(beta, t, c)
     pole, pref = _residue_factor(beta, 1.0, c)
     osc = cmath.exp(pole * t) * pref
     w = _cut_weight_vector(beta, 1.0, c, xm, wm)
@@ -441,90 +427,165 @@ def _series_coefficients(beta: float, gamma: float) -> np.ndarray:
     raise NonConvergence(f"batch series truncation not reached in {_MAX_TERMS} terms")
 
 
-@functools.lru_cache(maxsize=64)
-def _window_mesh(
-    beta: float, pairs: tuple[tuple[complex, float], ...], e: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut mesh of the time window [2**(e-1), 2**e] and the pairs' weights.
+def _contour_shape(
+    beta: float, pairs: tuple[tuple[complex, float], ...], t0: float
+) -> tuple[float, float, int, list[bool]]:
+    """(mu, h, node count, enclosed flags) of the contour for times in [t0, 2*t0).
 
-    Returns (-nodes**(1/beta), real view of the complex weight columns).
-    The mesh depends only on (beta, pairs, e), so it is cached and shared
+    The parabola s(u) = mu * (1 + i*u)**2 meets the branch cut at Im u = 1
+    and a pole p = rho * exp(i*phi) at Im u = 1 - x, x = sqrt(rho/mu) *
+    cos(phi/2); the pole is enclosed when x > 1.  With a = mu * t0, the
+    trapezoid rule of step h on |u| <= U errs by about exp(-2*pi*d/h) for
+    each singularity at distance d from the real u axis (the cut at 1, a
+    pole at |1 - x|), by exp(2*a*(1 + d)**2 - 2*pi*d/h) on the outer side
+    of the strip, which ends at the nearest enclosed pole, and by
+    exp(a*(1 - U**2)) from truncation at the window start (Weideman and
+    Trefethen, Math. Comp. 76, 2007).  Each is held to e**-36.  a runs
+    down a fixed grid from 1, so that no term of the sum exceeds e**2 and
+    its rounding stays near the ulp of O(1) values; the grid point with
+    the fewest nodes wins, the smaller a on a tie.
+    """
+    efolds = _WINDOW_EFOLDS
+    # (log rho, cos(phi/2)) of each pair's pole on the principal sheet.
+    poles = [
+        (math.log(abs(c)) / beta, math.cos(0.5 * cmath.phase(c) / beta))
+        if c != 0 and _has_residue(beta, c)
+        else None
+        for c, _ in pairs
+    ]
+    best = None
+    for j in range(24):
+        a = 2.0 ** (-0.25 * j)
+        log_mu = math.log(a / t0)
+        # A pair without a pole counts as x = 0: its distance is the cut's.
+        xs = [
+            math.exp(min(0.5 * (pole[0] - log_mu), 700.0)) * pole[1] if pole else 0.0
+            for pole in poles
+        ]
+        d_near = min([1.0] + [abs(1.0 - x) for x in xs])
+        d_out = min([math.sqrt(1.0 + efolds / (2.0 * a))] + [x - 1.0 for x in xs if x > 1.0])
+        h = 2.0 * math.pi * min(d_near / efolds, d_out / (efolds + 2.0 * a * (1.0 + d_out) ** 2))
+        steps = math.sqrt(1.0 + efolds / a) / h if h > 0.0 else math.inf
+        if steps < math.inf and (best is None or math.ceil(steps) + 1 <= best[2]):
+            best = (a / t0, h, math.ceil(steps) + 1, [x > 1.0 for x in xs])
+    if best is None:
+        raise QuadratureFailure("every window contour passes through a pole")
+    return best
+
+
+@functools.lru_cache(maxsize=64)
+def _window_contour(
+    beta: float, pairs: tuple[tuple[complex, float], ...], e: int
+) -> tuple[np.ndarray, float, np.ndarray, tuple[tuple[int, complex, complex], ...]]:
+    """Bromwich contour of the time window [2**(e-1), 2**e) and the pairs' weights.
+
+    t**(gamma-1) * E_{beta,gamma}(c * t**beta) is the inverse Laplace
+    transform of s**(beta-gamma) / (s**beta - c).  The trapezoid nodes of
+    the window's parabola are s_k = mu * (1 + i*k*h)**2, k = 0..K-1, and
+    their conjugates.  As exp(conj(s_k) * t) = conj(exp(s_k * t)), each
+    node pair is one (Re, Im) pair of exp(s_k * t) times two weight rows.
+    Returns (Re s_k, Im s_1 = 2*mu*h, real view of the (2K, pairs) weight
+    matrix, (index, pole, prefactor) of each enclosed residue).  The
+    contour depends only on (beta, pairs, e), so it is cached and shared
     by every batch; both arrays are read-only.
     """
-    cs = [c for c, _ in pairs if c != 0]
-    xm, wm, y = _cut_mesh(beta, math.ldexp(1.0, e - 1), math.ldexp(1.0, e), cs)
-    weight_mat = np.zeros((xm.size, len(pairs)), dtype=complex)
+    mu, h, count, enclosed = _contour_shape(beta, pairs, math.ldexp(1.0, e - 1))
+    u = np.arange(count) * h
+    if not math.isfinite(mu * (1.0 + u[-1] ** 2)):
+        raise NonConvergence(f"contour of the time window 2**{e} exceeds double range")
+    decay = mu * (1.0 - u * u)
+    step = 2.0 * mu * h
+    upper = decay + 1j * step * np.arange(count)
+    lower = np.conj(upper)
+    # ds / (2*pi*i) = mu * (1 + i*u) / pi du; the real node s_0 is its own
+    # conjugate, so each half carries half of its weight.
+    du = h * mu * (1.0 + 1j * u) / math.pi
+    du[0] = 0.5 * du[0]
+    weight_mat = np.zeros((2 * count, len(pairs)), dtype=complex)
     for k, (c, gamma) in enumerate(pairs):
         if c != 0:
-            weight_mat[:, k] = _cut_weight_vector(beta, gamma, c, xm, wm)
-    neg_y = -y
+            w_up = du * upper ** (beta - gamma) / (upper**beta - c)
+            w_lo = np.conj(du) * lower ** (beta - gamma) / (lower**beta - c)
+            weight_mat[0::2, k] = w_up + w_lo
+            weight_mat[1::2, k] = 1j * (w_up - w_lo)
+    residues = tuple(
+        (k, *_residue_factor(beta, gamma, c))
+        for k, ((c, gamma), inside) in enumerate(zip(pairs, enclosed))
+        if inside
+    )
     weight_real = weight_mat.view(np.float64)
-    neg_y.flags.writeable = False
+    decay.flags.writeable = False
     weight_real.flags.writeable = False
-    return neg_y, weight_real
+    return decay, step, weight_real, residues
 
 
-def ml_linear_batch(
-    beta: float,
-    pairs: Sequence[tuple[complex, float]],
-    ts: np.ndarray,
-    powers: np.ndarray | None = None,
-) -> np.ndarray:
-    """E_{beta,gamma}(c * t**beta) for each (c, gamma) pair over a time grid.
+def _node_exponentials(t: np.ndarray, decay: np.ndarray, step: float) -> np.ndarray:
+    """exp(s_k * t) at the nodes s_k = decay[k] + i*k*step, as (Re, Im) pairs.
 
-    Times must be nonnegative; t = 0 rows evaluate to 1/Gamma(gamma).
-    ``powers``, when given, holds ts**beta as the caller rounds it.  The
-    series route below reads the power only, so a time too small for a
-    double may be passed as 0 with its positive power.
-    Times with max|c| * t**beta inside ``series_radius(beta)`` go through
-    one Horner pass over every pair, the cached Taylor tables stacked and
-    zero-padded to a common length.  The other times are split into
-    dyadic windows [2**(e-1), 2**e), each with its own cached branch-cut
-    mesh: the real factor exp(-x**(1/beta) * t) of a time is multiplied
-    by the (re, im) weight columns of every pair in one matrix-vector
-    product per time.  Coefficients whose cut roots fall too close to the
-    integration axis are evaluated by the contour route point by point
-    instead.  Each value therefore depends only on its own time and pair,
-    not on the batch.
-
-    Returns a complex array of shape (len(pairs), len(ts)).
+    The phase factor exp(i*k*step*t) is the k-th power of one complex exp
+    per time, built by doubling; its rounding grows like k ulp, as that of
+    the phase k*step*t itself does.  The modulus is one real exp per node.
+    Returns a real (len(t), 2K) array.
     """
-    if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
-        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
-    # rgamma and the cut weights need gamma > 0, as MLOrder requires.
-    if not all(gamma > 0.0 for _, gamma in pairs):
-        raise InvalidOrder(f"gamma must be positive, got {[g for _, g in pairs]!r}")
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise InvalidParams("ts must be a one-dimensional array")
-    if ts.size and (not np.all(np.isfinite(ts)) or ts.min() < 0.0):
-        raise InvalidParams("ts must be finite and nonnegative")
-    tb = ts**beta if powers is None else np.asarray(powers, dtype=float)
-    if tb.shape != ts.shape or (tb.size and (not np.all(np.isfinite(tb)) or tb.min() < 0.0)):
-        raise InvalidParams("powers must be finite, nonnegative and match ts")
+    count = decay.size
+    z = np.exp(1j * (t * step))[:, None]
+    phases = np.ones((t.size, 1), dtype=complex)
+    while phases.shape[1] < count:
+        phases = np.concatenate([phases, phases[:, : count - phases.shape[1]] * z], axis=1)
+        z = z * z
+    return (np.exp(np.multiply.outer(t, decay)) * phases).view(np.float64)
+
+
+def _window_values(
+    beta: float, pairs: Sequence[tuple[complex, float]], ts: np.ndarray
+) -> np.ndarray:
+    """E_{beta,gamma}(c * t**beta) for every pair from the window contours of ``ts``."""
+    key = tuple((complex(c), float(gamma)) for c, gamma in pairs)
+    vals = np.empty((ts.size, len(pairs)), dtype=complex)
+    vals_real = vals.view(np.float64)
+    window = np.frexp(ts)[1]
+    for e in np.unique(window):
+        decay, step, weight_real, residues = _window_contour(beta, key, int(e))
+        rows = np.flatnonzero(window == e)
+        # Chunks of about 1 MB of complex factors keep them in cache and the
+        # peak memory low.
+        chunk = max(1, int(6.25e4 // decay.size))
+        for lo in range(0, rows.size, chunk):
+            sel = rows[lo : lo + chunk]
+            factors = _node_exponentials(ts[sel], decay, step)
+            # A stack of matrix-vector products, one per time: a blocked
+            # matrix product would round a row differently depending on how
+            # many rows share the call.
+            vals_real[sel] = np.matmul(factors[:, None, :], weight_real)[:, 0, :]
+        t_win = ts[rows]
+        t_hi = float(t_win.max())
+        for k, pole, pref in residues:
+            c, gamma = key[k]
+            # Bound the whole term exp(pole*t) * pref * t**(1-gamma): a large
+            # prefactor overflows it below the exponent bound.
+            size = pole.real * t_hi + math.log(abs(pref))
+            size += max(0.0, (1.0 - gamma) * math.log(t_hi))
+            if pole.real * t_hi > 700.0 or size > 709.0:
+                raise NonConvergence(f"residue e**{size:.4g} of c = {c!r} exceeds double range")
+            vals[rows, k] = vals[rows, k] + np.exp(pole * t_win) * pref
     out = np.empty((len(pairs), ts.size), dtype=complex)
-    if ts.size == 0:
-        return out
+    for k, (c, gamma) in enumerate(key):
+        out[k] = rgamma(gamma) if c == 0 else vals[:, k] * ts ** (1.0 - gamma)
+    return out
 
-    if beta == 1.0:
-        for i, (c, gamma) in enumerate(pairs):
-            order = MLOrder(1.0, gamma)
-            if gamma == 1.0:
-                out[i] = np.exp(np.asarray(c) * tb)
-            else:
-                out[i] = [ml_global(order, c * t) for t in tb]
-        _ensure_batch(out)
-        return out
 
+def _batch_rows(
+    beta: float, pairs: Sequence[tuple[complex, float]], ts: np.ndarray, tb: np.ndarray
+) -> np.ndarray:
+    """The series and window-contour routes of ``ml_linear_batch``."""
+    out = np.empty((len(pairs), ts.size), dtype=complex)
     radius = series_radius(beta)
-    c_max = max((abs(c) for c, _ in pairs), default=0.0)
+    c_max = max(abs(c) for c, _ in pairs)
     if c_max == 0.0:
         for i, (_, gamma) in enumerate(pairs):
             out[i] = complex(rgamma(gamma))
         return out
     series_mask = c_max * tb <= radius
-    mesh_mask = ~series_mask
-
     if np.any(series_mask):
         tables = [_series_coefficients(beta, gamma) for _, gamma in pairs]
         coef = np.zeros((len(pairs), max(len(table) for table in tables)))
@@ -539,57 +600,59 @@ def ml_linear_batch(
         for j in range(coef.shape[1] - 1, -1, -1):
             acc = acc * z + coef[:, j : j + 1]
         out[:, series_mask] = acc
+    if not np.all(series_mask):
+        out[:, ~series_mask] = _window_values(beta, pairs, ts[~series_mask])
+    return out
 
-    if np.any(mesh_mask):
-        t_mesh = ts[mesh_mask]
-        t_hi = float(t_mesh.max())
-        mesh_pairs = []
-        contour_pairs = []
-        for i, (c, gamma) in enumerate(pairs):
-            if c != 0 and _min_root_angle(beta, [c]) < _BATCH_CONTOUR_ANGLE:
-                contour_pairs.append((i, c, gamma))
-            else:
-                mesh_pairs.append((i, c, gamma))
-        if mesh_pairs:
-            key = tuple((complex(c), float(gamma)) for _, c, gamma in mesh_pairs)
-            vals = np.empty((t_mesh.size, len(mesh_pairs)), dtype=complex)
-            vals_real = vals.view(np.float64)
-            window = np.frexp(t_mesh)[1]
-            for e in np.unique(window):
-                neg_y, weight_real = _window_mesh(beta, key, int(e))
-                rows = np.flatnonzero(window == e)
-                # Chunks of about 2 MB keep the factor in cache and the
-                # peak memory low.
-                chunk = max(1, int(2.5e5 // neg_y.size))
-                for lo in range(0, rows.size, chunk):
-                    sel = rows[lo : lo + chunk]
-                    expm = np.multiply.outer(t_mesh[sel], neg_y)
-                    np.exp(expm, out=expm)
-                    # A stack of matrix-vector products, one per time: a
-                    # blocked matrix product would round a row differently
-                    # depending on how many rows share the call.
-                    vals_real[sel] = np.matmul(expm[:, None, :], weight_real)[:, 0, :]
-            for k, (i, c, gamma) in enumerate(mesh_pairs):
-                v = vals[:, k]
-                if c == 0:
-                    v = np.full(t_mesh.size, complex(rgamma(gamma)))
-                else:
-                    if _has_residue(beta, c):
-                        pole, pref = _residue_factor(beta, gamma, c)
-                        # Bound the whole term exp(pole*t) * pref * t**(1-gamma):
-                        # a large prefactor overflows it below the exponent bound.
-                        size = pole.real * t_hi + math.log(abs(pref))
-                        size += max(0.0, (1.0 - gamma) * math.log(t_hi))
-                        if pole.real * t_hi > 700.0 or size > 709.0:
-                            raise NonConvergence(
-                                f"residue e**{size:.4g} of c = {c!r} exceeds double range"
-                            )
-                        v = v + np.exp(pole * t_mesh) * pref
-                    v = v * t_mesh ** (1.0 - gamma)
-                out[i, mesh_mask] = v
-        for i, c, gamma in contour_pairs:
-            out[i, mesh_mask] = [_ml_contour(beta, gamma, c * x) for x in tb[mesh_mask]]
 
+def ml_linear_batch(
+    beta: float,
+    pairs: Sequence[tuple[complex, float]],
+    ts: np.ndarray,
+    powers: np.ndarray | None = None,
+) -> np.ndarray:
+    """E_{beta,gamma}(c * t**beta) for each (c, gamma) pair over a time grid.
+
+    Times must be nonnegative; t = 0 rows evaluate to 1/Gamma(gamma).
+    ``powers``, when given, holds ts**beta as the caller rounds it.  The
+    series route below reads the power only, so a time too small for a
+    double may be passed as 0 with its positive power.
+    At beta = 1, gamma = 1 rows are exp(c * t).  Other rows at times with
+    max|c| * t**beta inside ``series_radius(beta)`` go through one Horner
+    pass over every pair, the cached Taylor tables stacked and zero-padded
+    to a common length.  The remaining times are split into dyadic windows
+    [2**(e-1), 2**e), each with its own cached Bromwich contour: the
+    factors exp(s_k * t) of a time are multiplied by the weight columns of
+    every pair in one matrix-vector product per time, and the residues of
+    the poles the contour encloses are added.  Each value therefore
+    depends only on its own time and pair, not on the batch.
+
+    Returns a complex array of shape (len(pairs), len(ts)).
+    """
+    if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
+        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
+    # rgamma and the contour weights need gamma > 0, as MLOrder requires.
+    if not all(gamma > 0.0 for _, gamma in pairs):
+        raise InvalidOrder(f"gamma must be positive, got {[g for _, g in pairs]!r}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise InvalidParams("ts must be a one-dimensional array")
+    if ts.size and (not np.all(np.isfinite(ts)) or ts.min() < 0.0):
+        raise InvalidParams("ts must be finite and nonnegative")
+    tb = ts**beta if powers is None else np.asarray(powers, dtype=float)
+    if tb.shape != ts.shape or (tb.size and (not np.all(np.isfinite(tb)) or tb.min() < 0.0)):
+        raise InvalidParams("powers must be finite, nonnegative and match ts")
+    out = np.empty((len(pairs), ts.size), dtype=complex)
+    if ts.size == 0:
+        return out
+    rest = []
+    for i, (c, gamma) in enumerate(pairs):
+        if beta == 1.0 and gamma == 1.0:
+            out[i] = np.exp(np.asarray(c) * tb)
+        else:
+            rest.append(i)
+    if rest:
+        out[rest] = _batch_rows(beta, [pairs[i] for i in rest], ts, tb)
     _ensure_batch(out)
     return out
 

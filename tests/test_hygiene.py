@@ -109,3 +109,29 @@ def test_cli_query_loads_no_scipy():
     code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0
     assert not loaded, f"scipy modules loaded by a CLI query: {loaded[:10]}"
+
+
+def test_batch_kernel_shares_no_code_with_the_scalar_contour():
+    # ``ml_linear_batch`` has its own window contours; ``ml_global``'s
+    # contour is the route the batch is checked against, so nothing the
+    # batch calls, directly or through a helper, may reach it.
+    mlfun = next(p for p in SOURCES if p.name == "mlfun.py")
+    functions = {
+        node.name: node
+        for node in ast.parse(mlfun.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["ml_linear_batch"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [
+            node.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id in functions
+        ]
+    assert {"_window_contour", "_node_exponentials", "_residue_factor"} <= reached
+    assert "_ml_contour" not in reached
+    assert "ml_global" not in reached

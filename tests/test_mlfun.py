@@ -326,8 +326,9 @@ class TestLinearBatch:
         assert got[1, 0] == pytest.approx(1.0 / gamma_fn(0.6), abs=1e-12)
 
     def test_near_corner_uses_contour(self):
-        # Root angle ~0.016 rad: the shared mesh refuses this coefficient
-        # and the batch falls back to the contour per point.
+        # Root angle ~0.016 rad: the pole sits next to the branch cut, where
+        # a cut mesh would need refinement; the window contour leaves it
+        # outside, a full strip away from the cut.
         beta = 0.67
         c = -1.5 * (-1j) ** beta
         ts = np.array([0.8, 1.6, 2.4])
@@ -337,7 +338,8 @@ class TestLinearBatch:
             assert rel_err(got[0, k], want) < 1e-8
 
     def test_zoom_panel_region(self):
-        # Root angle ~0.063 rad: stays on the mesh with zoom panels.
+        # Root angle ~0.063 rad: a cut mesh needs zoom panels around |c|
+        # here; the window contour needs nothing extra.
         beta = 0.68
         ts = np.geomspace(0.3, 3.0, 17)
         got = ml_linear_batch(beta, [(-2.0 * (-1j) ** beta, 1.0)], ts)
@@ -444,8 +446,8 @@ class TestLinearBatch:
     )
     def test_mesh_values_ignore_batch_mates_property(self, beta, polar, growth, mates):
         # Times past the series radius, at up to 60 units of max|c|**(1/beta)
-        # * t: every column comes from a cut-mesh window (or the contour for
-        # a coefficient near the axis) and must not depend on the batch.
+        # * t: every column comes from a window contour and must not depend
+        # on the batch.
         pairs = [
             (mag * cmath.exp(1j * th), 1.0 if k % 2 == 0 else beta)
             for k, (mag, th) in enumerate(polar)
@@ -463,18 +465,82 @@ class TestLinearBatch:
             assert np.array_equal(got[:, k], alone)
             assert np.array_equal(got[:, k], mixed[:, k])
 
+    @pytest.mark.parametrize("beta", [0.1, 0.2, 0.5, 0.8])
+    def test_window_contour_matches_oracle(self, beta):
+        # One time in each of five windows [2**(e-1), 2**e), all past the
+        # series radius: where t**beta alone is inside it, the coupling is
+        # raised to twice the radius.  alpha = -g only where its pole is on
+        # the principal sheet (beta > 2/3).  The s / beta term is the floor
+        # left by rounding the residue pole c**(1/beta), whose phase error
+        # grows like s * eps.
+        signs = (1.0, -1.0) if beta > 2.0 / 3.0 else (1.0,)
+        for e in (-2, 2, 6, 10, 14):
+            t = 0.75 * 2.0**e
+            g = max(1.0, 2.0 * series_radius(beta) / t**beta)
+            s = g ** (1.0 / beta) * t
+            for alpha in (g * sign for sign in signs):
+                c = alpha * (-1j) ** beta
+                got = ml_linear_batch(beta, [(c, 1.0), (c, beta)], np.array([t]))[:, 0]
+                for value, gamma in zip(got, (1.0, beta)):
+                    want = ml_ray_quad(beta, gamma, alpha, t)
+                    bound = 1e-13 + 1e-15 * s / beta
+                    assert abs(value - want) <= bound * abs(want), (e, alpha, gamma)
+
+    @pytest.mark.parametrize("beta", [2.0 / 3.0 - 0.002, 2.0 / 3.0 + 0.002])
+    def test_minus_factor_near_two_thirds(self, beta):
+        # The -g factor's pole crosses the branch cut at beta = 2/3, so its
+        # cut roots lie within 0.01 rad of the cut integral's axis on both
+        # sides; the window contour meets the pole near the cut, a full
+        # strip away.
+        c = -(-1j) ** beta
+        ts = np.array([12.0, 40.0, 150.0, 700.0])
+        assert np.all(ts**beta > series_radius(beta))
+        for gamma in (1.0, beta):
+            got = ml_linear_batch(beta, [(c, gamma)], ts)[0]
+            for k, t in enumerate(ts):
+                want = ml_ray_quad(beta, gamma, -1.0, float(t))
+                assert abs(got[k] - want) <= 1e-10 * abs(want), (t, gamma)
+
+    def test_plus_factor_at_tiny_order(self):
+        # At beta = 0.01 the +g factor's cut roots lie 0.03 rad from the
+        # axis.  The scalar contour is the reference: the mpmath oracle
+        # takes about 15 s per value here.
+        beta = 0.01
+        c = (-1j) ** beta
+        ts = np.array([20.0, 300.0])
+        assert np.all(ts**beta > series_radius(beta))
+        for gamma in (1.0, beta):
+            got = ml_linear_batch(beta, [(c, gamma)], ts)[0]
+            for k, t in enumerate(ts):
+                want = ml_global(MLOrder(beta, gamma), c * t**beta)
+                assert abs(got[k] - want) <= 1e-10 * abs(want), (t, gamma)
+
+    def test_order_one_with_other_gamma(self):
+        # E_{1,1/2}(z) = 1/sqrt(pi) + sqrt(z) * exp(z) * erf(sqrt(z)); at
+        # beta = 1 a gamma other than 1 takes the series and window routes.
+        z = np.array([0.5, 3.0, 40.0, 300.0]) * 1j
+        ts = np.abs(z)
+        got = ml_linear_batch(1.0, [(1j, 0.5), (1j, 1.0)], ts)
+        for k, zk in enumerate(z):
+            with mp.workdps(40):
+                root = mp.sqrt(mp.mpc(zk))
+                want = complex(1 / mp.sqrt(mp.pi) + root * mp.exp(mp.mpc(zk)) * mp.erf(root))
+            assert rel_err(got[0, k], want) < 1e-13
+            assert got[1, k] == np.exp(zk)
+
     def test_series_table_is_shared_and_read_only(self):
-        from fracqsl.mlfun import _series_coefficients, _window_mesh
+        from fracqsl.mlfun import _series_coefficients, _window_contour
 
         table = _series_coefficients(0.3, 1.0)
         assert _series_coefficients(0.3, 1.0) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
-        # The cut mesh of a time window and its weight columns likewise.
-        mesh = _window_mesh(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3)
-        assert _window_mesh(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3) is mesh
-        for arr in mesh:
+        # The contour of a time window and its weight columns likewise.
+        contour = _window_contour(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3)
+        assert _window_contour(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3) is contour
+        decay, _, weights, _ = contour
+        for arr in (decay, weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,16 @@ class TestFormulaRoute:
 
     def test_zero_coupling(self):
         assert qsl_ratio_formula(JCParams(beta=0.5, lam=0.0, n=2), 1.0) == 0.0
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-200])
+    def test_underflowing_cycle_rate_is_refused(self, lam):
+        # g**(1/beta) is subnormal at lam 1e-160 and 0 at 1e-200: the
+        # lattice step 1/(2.55 * rate) is past double range.  The refusal
+        # names the rate and comes before numpy would warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridTooCoarse, match="cycle rate .* underflows"):
+                qsl_ratio_formula(JCParams(beta=0.5, lam=lam, n=0), 1.0)
 
     def test_tau_validation(self):
         with pytest.raises(InvalidParams):
