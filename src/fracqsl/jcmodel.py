@@ -131,8 +131,8 @@ class QubitDynamics:
     """Vectorized evaluator of the model dynamics on time grids.
 
     Precomputes the per-eigenvalue evolution coefficients
-    c = +-g * (-i)**beta and shares the Mittag-Leffler quadrature mesh
-    across all requested quantities.
+    c = +-g * (-i)**beta; every requested quantity comes from one batched
+    Mittag-Leffler evaluation of those coefficients per time grid.
     """
 
     def __init__(self, params: JCParams) -> None:
@@ -179,7 +179,8 @@ class QubitDynamics:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho_ee, rho_gg, d rho_ee/dt) from one shared evaluation.
 
-        All four Mittag-Leffler rows reuse the same quadrature mesh, so
+        All four Mittag-Leffler rows come from one ``ml_linear_batch``
+        call, whose series powers and window contours they share, so
         sampling value and rate together costs one pass.  Rate entries at
         t = 0 are set to 0: for beta < 1 the rate can diverge there.
         ``powers`` is passed on to ``ml_linear_batch`` (times**beta as the

@@ -14,18 +14,20 @@ Three complementary evaluation routes are provided:
   series radius.
 
 ``ml_linear_batch`` evaluates E_{beta,gamma}(c * t**beta) for several
-(c, gamma) pairs on a shared time grid.  Small arguments go through one
-Horner pass over all pairs at once, with Taylor tables cached per
-(beta, gamma).  The rest go through Bromwich contours of their own, one
-parabola per dyadic time window [2**(e-1), 2**e), cached with the pairs'
-weight columns.  A window's contour is sized from the window bounds and
-the pairs' poles alone: each pole is either enclosed, and its residue
-added, or left outside.  The factor exp(s_k * t) of the trapezoid sum
-depends only on the nodes and the time, so it is computed once per time
-(one complex exp, then powers of it) and multiplied by every pair's
-weights.  Every value depends only on its own time, never on the batch
-it was evaluated in.  The batch shares no code with ``_ml_contour`` or
-with the cut mesh of ``ml_split``.
+(c, gamma) pairs on a shared time grid.  Small arguments go through the
+Taylor series as one matrix-vector product per time: each pair has a
+cached weight column a_j * (c/|c|)**j, and each time a row of real powers
+(|c| * t**beta)**j, shared by the pairs of one |c|.  The rest go through
+Bromwich contours of their own, one parabola per dyadic time window
+[2**(e-1), 2**e), cached with the pairs' weight columns.  A window's
+contour is sized from the window bounds and the pairs' poles alone: each
+pole is either enclosed, and its residue added, or left outside.  The
+factor exp(s_k * t) of the trapezoid sum depends only on the nodes and
+the time, so it is computed once per time (one complex exp, then powers
+of it) and multiplied by every pair's weights.  Both routes build their
+powers by the same doubling.  Every value depends only on its own time,
+never on the batch it was evaluated in.  The batch shares no code with
+``_ml_contour`` or with the cut mesh of ``ml_split``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ _MIN_ROOT_ANGLE = 5e-3
 # E-folds of the batch's window contours: truncation, discretisation and
 # pole errors of their trapezoid sums are each held to e**-36 ~ 2e-16.
 _WINDOW_EFOLDS = 36.0
+# Largest growth of a window contour's terms over the value it sums, for
+# gamma - beta > 1: e**9 ~ 8e3 keeps their rounding near 1e-12.
+_ROUNDING_EFOLDS = 9.0
 # Root angles below this get extra zoom panels around |c| in the mesh.
 _ZOOM_ANGLE = 0.45
 # Series term budget before NonConvergence is raised.
@@ -124,9 +129,14 @@ def series_radius(beta: float) -> float:
 
     The summation loses roughly 0.434 * |z|**(1/beta) digits to
     cancellation, so the admissible |z| shrinks with beta; nine e-folds of
-    growth keep the relative error near 1e-11 in double precision.
+    growth keep the relative error near 1e-9 in double precision.
+    Below beta ~ 0.09 the terms decay too slowly for that: the radius is
+    then the largest |z| whose terms fall below 1e-18 within the 600-term
+    budget for every gamma, using 1/Gamma(x) <= 1/Gamma(max(x, 1.4616)).
     """
-    return min(5.0, 9.0**beta)
+    last = _MAX_TERMS - 3
+    reach = math.exp((math.log(1e-18) + math.lgamma(max(beta * last, 1.4616))) / last)
+    return min(5.0, 9.0**beta, reach)
 
 
 def _check_finite(z: complex, what: str = "argument") -> complex:
@@ -147,6 +157,9 @@ def ml_series(order: MLOrder, z: complex) -> complex:
 
     Compensated (Neumaier) summation; reciprocal-gamma term evaluation
     underflows to zero for huge denominators instead of overflowing.
+    Terms are cut relative to the largest coefficient so far, capped at 1,
+    so that a large gamma, whose coefficients all lie far below 1, is
+    summed to full relative precision.
     Intended for |z| <= series_radius(beta); larger arguments either lose
     accuracy to cancellation or fail to converge within 600 terms.
     """
@@ -155,9 +168,12 @@ def ml_series(order: MLOrder, z: complex) -> complex:
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     zp = 1.0 + 0.0j
+    scale = 0.0
     small_run = 0
     for j in range(_MAX_TERMS):
-        term = zp * complex(rgamma(beta * j + gamma))
+        a_j = rgamma(beta * j + gamma)
+        scale = min(1.0, max(scale, a_j))
+        term = zp * complex(a_j)
         # Neumaier update keeps the rounding error of the running sum.
         y = term - comp
         t = total + y
@@ -168,7 +184,7 @@ def ml_series(order: MLOrder, z: complex) -> complex:
             raise NonConvergence(
                 f"series terms exceed double range for |z|={abs(z):.3g}, beta={beta}"
             )
-        if abs(term) <= 1e-16 * (1.0 + abs(total)) + 1e-14:
+        if abs(term) <= 1e-16 * (scale + abs(total)) + 1e-14 * scale:
             small_run += 1
             if small_run >= 3:
                 return _ensure_value(total, "ml_series")
@@ -398,33 +414,81 @@ def ml_time_derivative(beta: float, c: complex, t: float) -> complex:
     return _ensure_value(c * t ** (beta - 1.0) * val, "ml_time_derivative")
 
 
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) for x > 0 to about 1e-5: six recurrence steps, then Stirling."""
+    y = x + 6.0
+    total = np.log(y) - 0.5 / y - 1.0 / (12.0 * y * y)
+    for k in range(6):
+        total = total - 1.0 / (x + k)
+    return total
+
+
 @functools.lru_cache(maxsize=256)
 def _series_coefficients(beta: float, gamma: float) -> np.ndarray:
     """Taylor coefficients rgamma(beta*j + gamma) truncated for |z| <= series_radius(beta).
 
+    The table ends at the third term in a row below 1e-18 times the largest
+    coefficient so far, capped at 1, as ``ml_series`` cuts its terms.
+    Rounding beta*j + gamma to a double moves 1/Gamma by psi(x) times the
+    rounding, hundreds of ulp at x ~ 50; in a series that cancels, that
+    noise is the largest error of the sum.  The rounding is recovered
+    exactly (Dekker's product of beta with the integer j, Knuth's sum with
+    gamma) and removed to first order, 1/Gamma(x + dx) = (1 - psi(x)*dx) /
+    Gamma(x), which leaves each coefficient within a few ulp.
     Cached per order pair; the table is shared by every caller, so it is
     returned read-only.
     """
     z_max = series_radius(beta)
     coeffs = []
     zp = 1.0
+    scale = 0.0
     small_run = 0
     for j in range(_MAX_TERMS):
         a_j = rgamma(beta * j + gamma)
         coeffs.append(a_j)
-        bound = abs(a_j) * zp
+        scale = min(1.0, max(scale, a_j))
+        bound = a_j * zp
         zp = zp * z_max
         if zp > 1e280:
             raise NonConvergence("batch series bound exceeded double range")
-        if bound <= 1e-18:
+        if bound <= 1e-18 * scale:
             small_run += 1
             if small_run >= 3:
-                table = np.asarray(coeffs)
-                table.flags.writeable = False
-                return table
+                break
         else:
             small_run = 0
-    raise NonConvergence(f"batch series truncation not reached in {_MAX_TERMS} terms")
+    else:
+        raise NonConvergence(f"batch series truncation not reached in {_MAX_TERMS} terms")
+    table = np.asarray(coeffs)
+    j = np.arange(table.size, dtype=float)
+    prod = beta * j
+    split = 134217729.0 * beta
+    b_hi = split - (split - beta)
+    arg = prod + gamma
+    back = arg - prod
+    rounding = ((b_hi * j - prod) + (beta - b_hi) * j) + ((prod - (arg - back)) + (gamma - back))
+    table = table - table * (_digamma(arg) * rounding)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _series_column(beta: float, c: complex, gamma: float) -> np.ndarray:
+    """Series weights a_j * u**j of E_{beta,gamma}(c * t**beta), u = c / |c|.
+
+    With x = |c| * t**beta, the value is sum_j a_j * u**j * x**j: a
+    complex weight column times real powers, which every pair of the same
+    |c| shares.  The phases u**j are sequential products, whose rounding
+    grows like j ulp at worst; exp(i*j*arg u) or a complex power would
+    carry the rounding of j * arg(u), which is larger.  Cached per
+    (beta, c, gamma) and returned read-only, as a real (terms, 2) view.
+    """
+    table = _series_coefficients(beta, gamma)
+    steps = np.full(table.size, c / abs(c))
+    steps[0] = 1.0
+    column = (table * np.multiply.accumulate(steps)).view(np.float64).reshape(-1, 2)
+    column.flags.writeable = False
+    return column
 
 
 def _contour_shape(
@@ -444,6 +508,15 @@ def _contour_shape(
     down a fixed grid from 1, so that no term of the sum exceeds e**2 and
     its rounding stays near the ulp of O(1) values; the grid point with
     the fewest nodes wins, the smaller a on a tie.
+
+    A pair with nu = gamma - beta > 1 needs more.  Its factor
+    s**(beta-gamma) * ds/du grows like (1 - d)**(2 - 2*nu) towards the cut,
+    so the cut's strip is used only up to the d that keeps that growth
+    inside the budget.  And its terms exceed its value, about
+    t**(nu-1) / (|c| * Gamma(nu)), by up to (mu*t)**(1-nu) * e**(mu*t) *
+    Gamma(nu): a grid point where that exceeds e**_ROUNDING_EFOLDS is
+    skipped, and a gamma too large for every point (gamma - beta above
+    about 7.9) is refused.
     """
     efolds = _WINDOW_EFOLDS
     # (log rho, cos(phi/2)) of each pair's pole on the principal sheet.
@@ -453,21 +526,43 @@ def _contour_shape(
         else None
         for c, _ in pairs
     ]
+    nu = max([1.0] + [gamma - beta for c, gamma in pairs if c != 0])
+    # The cut's strip is used up to d, where (1 - d)**-grow costs its share
+    # of e-folds; reach is that d scaled by the e-folds left for the step.
+    reach = 1.0
+    if nu > 1.0:
+        grow = 2.0 * (nu - 1.0)
+        d = efolds / (efolds + grow)
+        reach = d * efolds / (efolds + grow * math.log1p(efolds / grow))
     best = None
+    least = math.inf
     for j in range(24):
         a = 2.0 ** (-0.25 * j)
+        if nu > 1.0:
+            # Times in the window span mu * t in [a, 2a).
+            growth = math.lgamma(nu) + max(
+                (1.0 - nu) * math.log(a) + a, (1.0 - nu) * math.log(2.0 * a) + 2.0 * a
+            )
+            least = min(least, growth)
+            if growth > _ROUNDING_EFOLDS:
+                continue
         log_mu = math.log(a / t0)
         # A pair without a pole counts as x = 0: its distance is the cut's.
         xs = [
             math.exp(min(0.5 * (pole[0] - log_mu), 700.0)) * pole[1] if pole else 0.0
             for pole in poles
         ]
-        d_near = min([1.0] + [abs(1.0 - x) for x in xs])
+        d_near = min([reach] + [abs(1.0 - x) for x in xs])
         d_out = min([math.sqrt(1.0 + efolds / (2.0 * a))] + [x - 1.0 for x in xs if x > 1.0])
         h = 2.0 * math.pi * min(d_near / efolds, d_out / (efolds + 2.0 * a * (1.0 + d_out) ** 2))
         steps = math.sqrt(1.0 + efolds / a) / h if h > 0.0 else math.inf
         if steps < math.inf and (best is None or math.ceil(steps) + 1 <= best[2]):
             best = (a / t0, h, math.ceil(steps) + 1, [x > 1.0 for x in xs])
+    if best is None and least > _ROUNDING_EFOLDS:
+        raise QuadratureFailure(
+            f"gamma - beta = {nu:.4g}: window contour terms exceed the value by "
+            f"e**{least:.3g} or more, past the rounding budget"
+        )
     if best is None:
         raise QuadratureFailure("every window contour passes through a pole")
     return best
@@ -519,6 +614,26 @@ def _window_contour(
     return decay, step, weight_real, residues
 
 
+def _doubling_powers(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (len(z), count) with the powers z**0 .. z**(count-1) and return it.
+
+    Built by doubling: the block [k, 2k) is the block [0, k) times z**k,
+    and z**k comes from repeated squaring, so z**j takes one product per
+    binary digit of j.  Each entry is the same sequence of products
+    whatever the count and the length of ``z`` are.
+    """
+    count = out.shape[1]
+    out[:, 0] = 1.0
+    zk = z[:, None]
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        np.multiply(out[:, :m], zk, out=out[:, k : k + m])
+        zk = zk * zk
+        k = 2 * k
+    return out
+
+
 def _node_exponentials(t: np.ndarray, decay: np.ndarray, step: float) -> np.ndarray:
     """exp(s_k * t) at the nodes s_k = decay[k] + i*k*step, as (Re, Im) pairs.
 
@@ -527,12 +642,7 @@ def _node_exponentials(t: np.ndarray, decay: np.ndarray, step: float) -> np.ndar
     the phase k*step*t itself does.  The modulus is one real exp per node.
     Returns a real (len(t), 2K) array.
     """
-    count = decay.size
-    z = np.exp(1j * (t * step))[:, None]
-    phases = np.ones((t.size, 1), dtype=complex)
-    while phases.shape[1] < count:
-        phases = np.concatenate([phases, phases[:, : count - phases.shape[1]] * z], axis=1)
-        z = z * z
+    phases = _doubling_powers(np.exp(1j * (t * step)), np.empty((t.size, decay.size), complex))
     return (np.exp(np.multiply.outer(t, decay)) * phases).view(np.float64)
 
 
@@ -574,32 +684,46 @@ def _window_values(
     return out
 
 
+def _series_values(
+    beta: float, pairs: Sequence[tuple[complex, float]], tb: np.ndarray
+) -> np.ndarray:
+    """E_{beta,gamma}(c * t**beta) for every pair from its cached series weights.
+
+    Pairs of the same |c| share the real powers (|c| * t**beta)**j; each
+    pair's value is one matrix-vector product per time over its own table
+    length, so neither the times nor the other pairs change its rounding.
+    """
+    out = np.empty((len(pairs), tb.size), dtype=complex)
+    groups: dict[float, list[tuple[int, np.ndarray]]] = {}
+    for k, (c, gamma) in enumerate(pairs):
+        if c == 0:
+            out[k] = rgamma(gamma)
+        else:
+            groups.setdefault(abs(c), []).append((k, _series_column(beta, c, gamma)))
+    for modulus, members in groups.items():
+        count = max(column.shape[0] for _, column in members)
+        x = modulus * tb
+        # Chunks of about 1 MB of powers, in one buffer, keep them in cache
+        # and the peak memory low.
+        chunk = max(1, int(1.25e5 // count))
+        buffer = np.empty((min(chunk, tb.size), count))
+        for lo in range(0, tb.size, chunk):
+            rows = x[lo : lo + chunk]
+            powers = _doubling_powers(rows, buffer[: rows.size])
+            for k, column in members:
+                vals = np.matmul(powers[:, None, : column.shape[0]], column)[:, 0, :]
+                out[k, lo : lo + chunk] = vals.view(complex)[:, 0]
+    return out
+
+
 def _batch_rows(
     beta: float, pairs: Sequence[tuple[complex, float]], ts: np.ndarray, tb: np.ndarray
 ) -> np.ndarray:
     """The series and window-contour routes of ``ml_linear_batch``."""
     out = np.empty((len(pairs), ts.size), dtype=complex)
-    radius = series_radius(beta)
-    c_max = max(abs(c) for c, _ in pairs)
-    if c_max == 0.0:
-        for i, (_, gamma) in enumerate(pairs):
-            out[i] = complex(rgamma(gamma))
-        return out
-    series_mask = c_max * tb <= radius
+    series_mask = max(abs(c) for c, _ in pairs) * tb <= series_radius(beta)
     if np.any(series_mask):
-        tables = [_series_coefficients(beta, gamma) for _, gamma in pairs]
-        coef = np.zeros((len(pairs), max(len(table) for table in tables)))
-        for i, table in enumerate(tables):
-            coef[i, : len(table)] = table
-        z = np.multiply.outer(np.array([c for c, _ in pairs], dtype=complex), tb[series_mask])
-        acc = np.zeros_like(z)
-        # Out of place on purpose: numpy's in-place complex multiply rounds
-        # differently with the array length, which would make a value depend
-        # on its batch-mates.  Zero padding leaves acc exactly 0 until a
-        # row's own leading coefficient.
-        for j in range(coef.shape[1] - 1, -1, -1):
-            acc = acc * z + coef[:, j : j + 1]
-        out[:, series_mask] = acc
+        out[:, series_mask] = _series_values(beta, pairs, tb[series_mask])
     if not np.all(series_mask):
         out[:, ~series_mask] = _window_values(beta, pairs, ts[~series_mask])
     return out
@@ -618,22 +742,28 @@ def ml_linear_batch(
     series route below reads the power only, so a time too small for a
     double may be passed as 0 with its positive power.
     At beta = 1, gamma = 1 rows are exp(c * t).  Other rows at times with
-    max|c| * t**beta inside ``series_radius(beta)`` go through one Horner
-    pass over every pair, the cached Taylor tables stacked and zero-padded
-    to a common length.  The remaining times are split into dyadic windows
-    [2**(e-1), 2**e), each with its own cached Bromwich contour: the
-    factors exp(s_k * t) of a time are multiplied by the weight columns of
-    every pair in one matrix-vector product per time, and the residues of
-    the poles the contour encloses are added.  Each value therefore
-    depends only on its own time and pair, not on the batch.
+    max|c| * t**beta inside ``series_radius(beta)`` are Taylor sums: one
+    matrix-vector product per time of the real powers (|c| * t**beta)**j
+    with the pair's cached weight column a_j * (c/|c|)**j, over the
+    pair's own table length.  The remaining times are split into dyadic
+    windows [2**(e-1), 2**e), each with its own cached Bromwich contour:
+    the factors exp(s_k * t) of a time are multiplied by the weight
+    columns of every pair in one matrix-vector product per time, and the
+    residues of the poles the contour encloses are added.  Each value
+    therefore depends only on its own time and pair, not on the batch.
+    A non-finite coefficient raises ``InvalidParams``; a gamma that is not
+    a finite positive real (a bool included) raises ``InvalidOrder``.
 
     Returns a complex array of shape (len(pairs), len(ts)).
     """
     if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
         raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
-    # rgamma and the contour weights need gamma > 0, as MLOrder requires.
-    if not all(gamma > 0.0 for _, gamma in pairs):
-        raise InvalidOrder(f"gamma must be positive, got {[g for _, g in pairs]!r}")
+    # rgamma and the contour weights need a finite gamma > 0, as MLOrder
+    # requires, and a finite coefficient.
+    for _, gamma in pairs:
+        if not (is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
+            raise InvalidOrder(f"gamma must be positive and finite, got {gamma!r}")
+    pairs = [(_check_finite(c, "coefficient"), float(gamma)) for c, gamma in pairs]
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise InvalidParams("ts must be a one-dimensional array")

@@ -25,6 +25,7 @@ from fracqsl.jcmodel import (
     scaled_time,
 )
 from fracqsl.mlfun import MLOrder, ml_global
+from fracqsl.qsl import qsl_point
 
 HALF = math.sqrt(0.5)
 
@@ -211,6 +212,20 @@ class TestEngine:
         _, rho_gg = engine.populations(ts)
         want = (g * ts**0.6 / math.gamma(1.6)) ** 2
         assert np.allclose(rho_gg, want, rtol=2e-3)
+
+    @pytest.mark.parametrize("beta", [0.01, 0.03, 0.05, 0.08])
+    def test_tiny_order_batch_matches_scalar_route(self, beta):
+        # Below beta ~ 0.085 the batch's series table used to run out of
+        # terms at every time, so amplitudes and qsl_point raised
+        # NonConvergence while evolve answered.
+        params = JCParams(beta=beta, lam=0.5, n=0)
+        ts = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0, 5.0, 20.0])
+        amps = QubitDynamics(params).amplitudes(ts)
+        for k, t in enumerate(ts):
+            want = evolve(params, float(t))
+            assert abs(amps[k, 0] - want.c_g) <= 1e-10
+            assert abs(amps[k, 1] - want.c_e) <= 1e-10
+        assert 0.0 <= qsl_point(params, 1.0).ratio_op <= 1.0
 
     def test_population_consistency(self):
         p = JCParams(beta=0.8, lam=0.4, n=5)

@@ -142,6 +142,50 @@ class TestSeries:
         assert series_radius(0.3) == pytest.approx(9.0**0.3)
         assert series_radius(0.3) < series_radius(0.5) < series_radius(0.8)
 
+    def test_radius_at_tiny_order_is_reached_within_the_budget(self):
+        # Below beta ~ 0.09, 600 terms do not reach the cut at 9**beta; the
+        # radius shrinks to what they reach, and is 9**beta from there up.
+        assert series_radius(0.0905) == 9.0**0.0905
+        assert series_radius(0.1) == 9.0**0.1
+        assert series_radius(0.01) == pytest.approx(0.9404, abs=1e-4)
+        for beta in (0.01, 0.03, 0.05, 0.08, 0.09):
+            assert series_radius(beta) < 9.0**beta
+            for gamma in (1e-3, beta, 1.0, 2.5):
+                z = 0.999 * series_radius(beta) * cmath.exp(2.0j)
+                want = ml_reference(beta, gamma, z)
+                assert rel_err(ml_series(MLOrder(beta, gamma), z), want) < 1e-10
+                assert rel_err(ml_global(MLOrder(beta, gamma), z), want) < 1e-10
+                row = ml_linear_batch(beta, [(z, gamma)], [1.0])[0, 0]
+                assert rel_err(row, want) < 1e-10
+
+    @pytest.mark.parametrize("beta", [0.1, 0.2, 0.35, 0.5, 0.8])
+    def test_series_routes_match_oracle_up_to_the_radius(self, beta):
+        # c = +-(-i)**beta, the model's factors at unit coupling, where the
+        # minus sign makes the sum cancel most: at beta = 0.35 and
+        # |z| = 0.999 * radius the scalar series reads 9.6e-10 and the
+        # batch 9.5e-11; the bound is what the scalar series allows.
+        for sign in (1.0, -1.0):
+            c = sign * (-1j) ** beta
+            for gamma in (1.0, beta):
+                for frac in (0.5, 0.8, 0.95, 0.999):
+                    t = (frac * series_radius(beta)) ** (1.0 / beta)
+                    z = c * t**beta
+                    want = ml_reference(beta, gamma, z)
+                    got = ml_series(MLOrder(beta, gamma), z)
+                    row = ml_linear_batch(beta, [(c, gamma)], np.array([t]))[0, 0]
+                    assert abs(got - want) <= 2e-9 * abs(want), (sign, gamma, frac)
+                    assert abs(row - want) <= 2e-9 * abs(want), (sign, gamma, frac)
+
+    def test_large_gamma_keeps_relative_precision(self):
+        # At gamma = 20 every coefficient is below 1/Gamma(20) ~ 8e-18, so
+        # an absolute cut would stop after three terms.
+        beta = 0.3
+        for z in (1.3, -1.39j, 0.5 + 0.5j):
+            want = ml_reference(beta, 20.0, z)
+            assert abs(ml_series(MLOrder(beta, 20.0), z) - want) <= 1e-13 * abs(want)
+            row = ml_linear_batch(beta, [(z, 20.0)], [1.0])[0, 0]
+            assert abs(row - want) <= 1e-13 * abs(want)
+
     def test_nonconvergence_far_outside(self):
         with pytest.raises(NonConvergence):
             ml_series(MLOrder(0.3), 30.0 + 0.0j)
@@ -366,6 +410,43 @@ class TestLinearBatch:
         with pytest.raises(InvalidParams):
             ml_linear_batch(0.5, [(1.0j, 1.0)], np.array([-0.1, 1.0]))
 
+    def test_rejects_nonfinite_coefficient_without_warnings(self):
+        # A NaN coefficient used to reach the window contour's divide.
+        for c in (complex("nan"), complex(math.inf, 0.0), complex(0.0, -math.inf)):
+            with pytest.raises(InvalidParams, match="coefficient"):
+                ml_linear_batch(0.5, [(1.0j, 1.0), (c, 1.0)], [0.5, 40.0])
+
+    def test_rejects_infinite_gamma(self):
+        # gamma = inf used to return 0 silently.
+        with pytest.raises(InvalidOrder):
+            ml_linear_batch(0.5, [(1.0j, math.inf)], [0.5, 40.0])
+
+    def test_rejects_bool_gamma(self):
+        with pytest.raises(InvalidOrder):
+            ml_linear_batch(0.5, [(1.0j, True)], [1.0])
+
+    @pytest.mark.parametrize("gamma", [20.0, 60.0, 200.0])
+    def test_window_route_refuses_gamma_beyond_its_rounding_budget(self, gamma):
+        # E_{1/2,20}(10i) = 1.32e-18 + 3.04e-18i; the window contour's terms
+        # exceed that by Gamma(19.5) ~ 1e16, and it used to return
+        # 1.7e-6 + 1.5e-5i (an overflow warning at gamma = 200).
+        with pytest.raises(QuadratureFailure, match="rounding budget"):
+            ml_linear_batch(0.5, [(1j, gamma)], [100.0])
+
+    def test_window_route_sizes_contour_for_large_gamma(self):
+        # s**(beta - gamma) grows towards the branch point; a contour sized
+        # for the cut alone read 4e-8 relative off at t = 1e4 and 1.4e-7
+        # at beta 0.3, t = 300.  ml_global agrees with the 60-digit series
+        # to 2e-16 at gamma 5; the series reaches t = 300 here.
+        got = ml_linear_batch(0.5, [(1j, 5.0)], [1e4])[0, 0]
+        want = ml_global(MLOrder(0.5, 5.0), 100j)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for gamma in (3.0, 5.0, 7.5):
+            c = -((-1j) ** 0.3)
+            got = ml_linear_batch(0.3, [(c, gamma)], [300.0])[0, 0]
+            want = ml_reference(0.3, gamma, c * 300.0**0.3)
+            assert abs(got - want) <= 1e-11 * abs(want), gamma
+
     def test_residue_overflow_is_refused_without_warnings(self):
         # exp(8**(1/0.3) * 30) is far beyond double range: the mesh route
         # refuses the residue before numpy overflows.
@@ -529,13 +610,19 @@ class TestLinearBatch:
             assert got[1, k] == np.exp(zk)
 
     def test_series_table_is_shared_and_read_only(self):
-        from fracqsl.mlfun import _series_coefficients, _window_contour
+        from fracqsl.mlfun import _series_coefficients, _series_column, _window_contour
 
         table = _series_coefficients(0.3, 1.0)
         assert _series_coefficients(0.3, 1.0) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+        # The series weight column of a pair likewise.
+        column = _series_column(0.3, 1.5j, 1.0)
+        assert _series_column(0.3, 1.5j, 1.0) is column
+        assert column.shape == (table.size, 2)
+        with pytest.raises(ValueError):
+            column[0, 0] = 0.0
         # The contour of a time window and its weight columns likewise.
         contour = _window_contour(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3)
         assert _window_contour(0.3, ((1.5j, 1.0), (-1.5j, 0.3)), 3) is contour
