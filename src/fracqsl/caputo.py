@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidOrder, InvalidParams
+from .errors import GridTooCoarse, InvalidParams
+from .mlfun import check_order
 
 __all__ = [
     "SampledSignal",
@@ -66,11 +67,6 @@ class SampledSignal:
         object.__setattr__(self, "values", values)
 
 
-def _check_beta(beta: float) -> None:
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta <= 1.0):
-        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
-
-
 def _l1_sum(times: np.ndarray, values: np.ndarray, beta: float, idx: int) -> np.ndarray:
     """L1 history sum at node ``idx`` (idx >= 1), scaled by 1/Gamma(2-beta)."""
     tn = times[idx]
@@ -89,7 +85,7 @@ def caputo_derivative(signal: SampledSignal, beta: float, t_index: int) -> compl
     has history to integrate over; beta = 1 reduces to the backward
     difference over the last interval.
     """
-    _check_beta(beta)
+    beta = check_order(beta)[0]
     times = signal.times
     values = np.asarray(signal.values, dtype=complex)
     if not isinstance(t_index, (int, np.integer)):
@@ -120,7 +116,7 @@ def caputo_derivative_all(signal: SampledSignal, beta: float) -> np.ndarray:
     other grids fall back to the direct sum per node.  Returns an array
     shaped like ``values[1:]``.
     """
-    _check_beta(beta)
+    beta = check_order(beta)[0]
     times = signal.times
     values = np.asarray(signal.values, dtype=complex)
     n = times.size
@@ -154,7 +150,7 @@ def tfse_residual(beta: float, hamiltonian: np.ndarray, trajectory: SampledSigna
     trajectory being tested.  At beta = 1 the defect uses central
     differences instead.
     """
-    _check_beta(beta)
+    beta = check_order(beta)[0]
     if not isinstance(trajectory, SampledSignal):
         raise InvalidParams(
             f"trajectory must be a SampledSignal, got {type(trajectory).__name__}"

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState, GridTooCoarse, InvalidOrder, InvalidParams
-from .mlfun import MLOrder, is_real, ml_global, ml_linear_batch
+from .errors import DegenerateState, GridTooCoarse, InvalidParams
+from .mlfun import MLOrder, check_order, check_time, is_real, ml_global, ml_linear_batch
 
 __all__ = [
     "JCParams",
@@ -32,7 +32,6 @@ __all__ = [
     "evolve",
     "cycle_lattice",
     "scaled_time",
-    "check_time",
 ]
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -42,21 +41,6 @@ _NODES_PER_RADIAN = 2.55
 # Geometric head below the first lattice step, each node a third of the next.
 _HEAD_NODES = 20
 _MAX_GRID = 60000
-
-
-def check_time(value, name: str = "tau", allow_zero: bool = False) -> float:
-    """``value`` as a float if it is a finite positive time, else InvalidParams.
-
-    ``allow_zero`` admits 0.  A bool is refused: True would pass as 1.
-    """
-    if not (
-        is_real(value)
-        and math.isfinite(value)
-        and (value > 0.0 or (allow_zero and value == 0.0))
-    ):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise InvalidParams(f"{name} must be {kind}, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -75,8 +59,7 @@ class JCParams:
     b: float = _HALF_SQRT2
 
     def __post_init__(self) -> None:
-        if not (is_real(self.beta) and math.isfinite(self.beta) and 0.0 < self.beta <= 1.0):
-            raise InvalidOrder(f"beta must lie in (0, 1], got {self.beta!r}")
+        beta = check_order(self.beta)[0]
         if not (is_real(self.lam) and math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
             raise InvalidParams(f"lam must lie in [0, 1], got {self.lam!r}")
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
@@ -90,7 +73,7 @@ class JCParams:
             raise InvalidParams(
                 f"weights must satisfy a^2 + b^2 = 1, got {self.a**2 + self.b**2!r}"
             )
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "a", float(self.a))
@@ -117,13 +100,10 @@ class CompositeAmplitudes:
 def interaction_hamiltonian(lam: float, n: int) -> np.ndarray:
     """Resonant coupling block in the {|g, n+1>, |e, n>} basis.
 
-    Both off-diagonal entries equal lam * sqrt(n+1).
+    Both off-diagonal entries equal lam * sqrt(n+1); lam and n are checked
+    as ``JCParams`` checks them.
     """
-    if not (is_real(lam) and math.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise InvalidParams(f"lam must lie in [0, 1], got {lam!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
-    g = lam * math.sqrt(n + 1.0)
+    g = JCParams(1.0, lam, n).coupling
     return np.array([[0.0, g], [g, 0.0]], dtype=complex)
 
 

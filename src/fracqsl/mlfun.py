@@ -28,6 +28,11 @@ of it) and multiplied by every pair's weights.  Both routes build their
 powers by the same doubling.  Every value depends only on its own time,
 never on the batch it was evaluated in.  The batch shares no code with
 ``_ml_contour`` or with the cut mesh of ``ml_split``.
+
+Each input decision has one home here: ``check_order`` refuses an order
+pair outside beta in (0, 1], gamma > 0 with ``InvalidOrder``, and
+``check_time`` a time that is not finite and positive with
+``InvalidParams``; every layer above calls them.
 """
 
 from __future__ import annotations
@@ -59,11 +64,13 @@ __all__ = [
     "ml_linear_batch",
     "series_radius",
     "is_real",
+    "check_order",
+    "check_time",
 ]
 
 # Decay budget of the cut integral: e^{-45} ~ 3e-20 truncation.
 _EFOLDS = 45.0
-# Geometric head panels resolving the x**((1-gamma)/beta) endpoint behavior
+# Geometric head panels resolving the cut integrand's endpoint behavior
 # between 1e-9 * x_break and x_break, at a ratio of at most 1.9.
 _HEAD_PANELS = math.ceil(9.0 * math.log(10.0) / math.log(1.9))
 # Tail panels advance ~5 e-folds of the exponential factor each.
@@ -106,7 +113,39 @@ def rgamma(x: float) -> float:
 
 def is_real(value) -> bool:
     """A real number that is not a bool (True would pass as 1)."""
+    # A float is answered before the slower abstract-class check: every
+    # batch call checks each of its pairs.
+    if type(value) is float:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_order(beta, gamma=1.0) -> tuple[float, float]:
+    """(beta, gamma) as floats if beta lies in (0, 1] and gamma is positive.
+
+    Both must be finite reals, else InvalidOrder.  A bool is refused (True
+    would pass as 1); a numpy scalar is taken as its float.
+    """
+    if not (is_real(beta) and math.isfinite(beta) and 0.0 < beta <= 1.0):
+        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
+    if not (is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
+        raise InvalidOrder(f"gamma must be positive and finite, got {gamma!r}")
+    return float(beta), float(gamma)
+
+
+def check_time(value, name: str = "tau", allow_zero: bool = False) -> float:
+    """``value`` as a float if it is a finite positive time, else InvalidParams.
+
+    ``allow_zero`` admits 0.  A bool is refused: True would pass as 1.
+    """
+    if not (
+        is_real(value)
+        and math.isfinite(value)
+        and (value > 0.0 or (allow_zero and value == 0.0))
+    ):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise InvalidParams(f"{name} must be {kind}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -117,11 +156,9 @@ class MLOrder:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        beta, gamma = self.beta, self.gamma
-        if not (is_real(beta) and math.isfinite(beta) and 0.0 < beta <= 1.0):
-            raise InvalidOrder(f"beta must lie in (0, 1], got {self.beta!r}")
-        if not (is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
-            raise InvalidOrder(f"gamma must be positive, got {self.gamma!r}")
+        beta, gamma = check_order(self.beta, self.gamma)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def series_radius(beta: float) -> float:
@@ -214,9 +251,9 @@ def _cut_mesh(beta: float, t: float, c: complex) -> tuple[np.ndarray, np.ndarray
     r_hi = min(_EFOLDS / t, _QUAD_CUTOFF)
     x_hi = r_hi**beta
     x_break = min((1.0 / t) ** beta, x_hi)
-    # A single panel from 0 covers x < 1e-9 * x_break: for gamma <= 1 the
-    # integrand there is a nonnegative power of x times a nearly constant
-    # factor, so its share of the integral is of order 1e-9 or below.
+    # A single panel from 0 covers x < 1e-9 * x_break: the integrand there
+    # is nearly constant, so its share of the integral is of order 1e-9 or
+    # below.
     # The graded panels above it end exactly at x_break, so none of them
     # reaches into the decay region that the tail panels budget by e-folds.
     x_head = 1e-9 * x_break
@@ -249,15 +286,11 @@ def _cut_mesh(beta: float, t: float, c: complex) -> tuple[np.ndarray, np.ndarray
     return xm, wm, xm ** (1.0 / beta)
 
 
-def _cut_weight_vector(
-    beta: float, gamma: float, c: complex, xm: np.ndarray, wm: np.ndarray
-) -> np.ndarray:
-    """Quadrature weights of the branch-cut integral for one (c, gamma)."""
-    s1 = math.sin(math.pi * (1.0 + beta - gamma))
-    s2 = math.sin(math.pi * (1.0 - gamma))
+def _cut_weight_vector(beta: float, c: complex, xm: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """Quadrature weights of the branch-cut integral of E_beta(c * t**beta)."""
     r1, r2 = _cut_roots(beta, c)
-    rational = (c * s1 - xm * s2) / ((xm - r1) * (xm - r2))
-    return -wm * (xm ** ((1.0 - gamma) / beta)) * rational / (beta * math.pi)
+    rational = c * math.sin(math.pi * beta) / ((xm - r1) * (xm - r2))
+    return -wm * rational / (beta * math.pi)
 
 
 def _has_residue(beta: float, c: complex) -> bool:
@@ -367,9 +400,8 @@ def _split_parts(beta: float, alpha: float, t: float) -> tuple[complex, complex]
                 "the first sheet; use ml_global instead"
             )
     xm, wm, y = _cut_mesh(beta, t, c)
-    pole, pref = _residue_factor(beta, 1.0, c)
-    osc = cmath.exp(pole * t) * pref
-    w = _cut_weight_vector(beta, 1.0, c, xm, wm)
+    osc = cmath.exp(_pole(beta, c) * t) / beta
+    w = _cut_weight_vector(beta, c, xm, wm)
     cut = complex(np.exp(-y * t) @ w)
     return osc, cut
 
@@ -385,12 +417,10 @@ def ml_split(beta: float, alpha: float, t: float) -> complex:
     residue) and QuadratureFailure when the cut integrand's roots crowd
     the integration axis.
     """
-    if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
-        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
-    if not (math.isfinite(alpha) and alpha != 0.0):
+    beta = check_order(beta)[0]
+    if not (is_real(alpha) and math.isfinite(alpha) and alpha != 0.0):
         raise InvalidParams(f"alpha must be real and nonzero, got {alpha!r}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidParams(f"t must be positive, got {t!r}")
+    alpha, t = float(alpha), check_time(t, "t")
     if beta == 1.0:
         return cmath.exp(-1j * alpha * t)
     osc, cut = _split_parts(beta, alpha, t)
@@ -403,10 +433,8 @@ def ml_time_derivative(beta: float, c: complex, t: float) -> complex:
     For beta < 1 the magnitude diverges as t -> 0+; that is the correct
     behavior of the derivative, not an error.
     """
-    if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
-        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidParams(f"t must be positive, got {t!r}")
+    beta = check_order(beta)[0]
+    t = check_time(t, "t")
     c = _check_finite(c, "coefficient")
     if c == 0:
         return 0.0 + 0.0j
@@ -522,11 +550,11 @@ def _contour_shape(
     # (log rho, cos(phi/2)) of each pair's pole on the principal sheet.
     poles = [
         (math.log(abs(c)) / beta, math.cos(0.5 * cmath.phase(c) / beta))
-        if c != 0 and _has_residue(beta, c)
+        if _has_residue(beta, c)
         else None
         for c, _ in pairs
     ]
-    nu = max([1.0] + [gamma - beta for c, gamma in pairs if c != 0])
+    nu = max([1.0] + [gamma - beta for _, gamma in pairs])
     # The cut's strip is used up to d, where (1 - d)**-grow costs its share
     # of e-folds; reach is that d scaled by the e-folds left for the step.
     reach = 1.0
@@ -598,11 +626,10 @@ def _window_contour(
     du[0] = 0.5 * du[0]
     weight_mat = np.zeros((2 * count, len(pairs)), dtype=complex)
     for k, (c, gamma) in enumerate(pairs):
-        if c != 0:
-            w_up = du * upper ** (beta - gamma) / (upper**beta - c)
-            w_lo = np.conj(du) * lower ** (beta - gamma) / (lower**beta - c)
-            weight_mat[0::2, k] = w_up + w_lo
-            weight_mat[1::2, k] = 1j * (w_up - w_lo)
+        w_up = du * upper ** (beta - gamma) / (upper**beta - c)
+        w_lo = np.conj(du) * lower ** (beta - gamma) / (lower**beta - c)
+        weight_mat[0::2, k] = w_up + w_lo
+        weight_mat[1::2, k] = 1j * (w_up - w_lo)
     residues = tuple(
         (k, *_residue_factor(beta, gamma, c))
         for k, ((c, gamma), inside) in enumerate(zip(pairs, enclosed))
@@ -679,8 +706,8 @@ def _window_values(
                 raise NonConvergence(f"residue e**{size:.4g} of c = {c!r} exceeds double range")
             vals[rows, k] = vals[rows, k] + np.exp(pole * t_win) * pref
     out = np.empty((len(pairs), ts.size), dtype=complex)
-    for k, (c, gamma) in enumerate(key):
-        out[k] = rgamma(gamma) if c == 0 else vals[:, k] * ts ** (1.0 - gamma)
+    for k, (_, gamma) in enumerate(key):
+        out[k] = vals[:, k] * ts ** (1.0 - gamma)
     return out
 
 
@@ -696,10 +723,7 @@ def _series_values(
     out = np.empty((len(pairs), tb.size), dtype=complex)
     groups: dict[float, list[tuple[int, np.ndarray]]] = {}
     for k, (c, gamma) in enumerate(pairs):
-        if c == 0:
-            out[k] = rgamma(gamma)
-        else:
-            groups.setdefault(abs(c), []).append((k, _series_column(beta, c, gamma)))
+        groups.setdefault(abs(c), []).append((k, _series_column(beta, c, gamma)))
     for modulus, members in groups.items():
         count = max(column.shape[0] for _, column in members)
         x = modulus * tb
@@ -716,19 +740,6 @@ def _series_values(
     return out
 
 
-def _batch_rows(
-    beta: float, pairs: Sequence[tuple[complex, float]], ts: np.ndarray, tb: np.ndarray
-) -> np.ndarray:
-    """The series and window-contour routes of ``ml_linear_batch``."""
-    out = np.empty((len(pairs), ts.size), dtype=complex)
-    series_mask = max(abs(c) for c, _ in pairs) * tb <= series_radius(beta)
-    if np.any(series_mask):
-        out[:, series_mask] = _series_values(beta, pairs, tb[series_mask])
-    if not np.all(series_mask):
-        out[:, ~series_mask] = _window_values(beta, pairs, ts[~series_mask])
-    return out
-
-
 def ml_linear_batch(
     beta: float,
     pairs: Sequence[tuple[complex, float]],
@@ -741,7 +752,8 @@ def ml_linear_batch(
     ``powers``, when given, holds ts**beta as the caller rounds it.  The
     series route below reads the power only, so a time too small for a
     double may be passed as 0 with its positive power.
-    At beta = 1, gamma = 1 rows are exp(c * t).  Other rows at times with
+    Rows with c = 0 are 1/Gamma(gamma) at every time, and at beta = 1,
+    gamma = 1 rows are exp(c * t).  Other rows at times with
     max|c| * t**beta inside ``series_radius(beta)`` are Taylor sums: one
     matrix-vector product per time of the real powers (|c| * t**beta)**j
     with the pair's cached weight column a_j * (c/|c|)**j, over the
@@ -751,19 +763,17 @@ def ml_linear_batch(
     columns of every pair in one matrix-vector product per time, and the
     residues of the poles the contour encloses are added.  Each value
     therefore depends only on its own time and pair, not on the batch.
-    A non-finite coefficient raises ``InvalidParams``; a gamma that is not
-    a finite positive real (a bool included) raises ``InvalidOrder``.
+    A non-finite coefficient raises ``InvalidParams``; an order that
+    ``check_order`` refuses (a bool included) raises ``InvalidOrder``.
 
     Returns a complex array of shape (len(pairs), len(ts)).
     """
-    if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
-        raise InvalidOrder(f"beta must lie in (0, 1], got {beta!r}")
+    beta = check_order(beta)[0]
     # rgamma and the contour weights need a finite gamma > 0, as MLOrder
     # requires, and a finite coefficient.
-    for _, gamma in pairs:
-        if not (is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
-            raise InvalidOrder(f"gamma must be positive and finite, got {gamma!r}")
-    pairs = [(_check_finite(c, "coefficient"), float(gamma)) for c, gamma in pairs]
+    pairs = [
+        (_check_finite(c, "coefficient"), check_order(beta, gamma)[1]) for c, gamma in pairs
+    ]
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise InvalidParams("ts must be a one-dimensional array")
@@ -775,18 +785,26 @@ def ml_linear_batch(
     out = np.empty((len(pairs), ts.size), dtype=complex)
     if ts.size == 0:
         return out
+    # Every routing decision is made here: a zero coefficient is the
+    # constant 1/Gamma(gamma) and never reaches a route, so it moves no
+    # contour; the rest go by time to the series or the window contours.
     rest = []
     for i, (c, gamma) in enumerate(pairs):
-        if beta == 1.0 and gamma == 1.0:
+        if c == 0:
+            out[i] = rgamma(gamma)
+        elif beta == 1.0 and gamma == 1.0:
             out[i] = np.exp(np.asarray(c) * tb)
         else:
             rest.append(i)
     if rest:
-        out[rest] = _batch_rows(beta, [pairs[i] for i in rest], ts, tb)
-    _ensure_batch(out)
-    return out
-
-
-def _ensure_batch(out: np.ndarray) -> None:
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+        kept = [pairs[i] for i in rest]
+        rows = np.empty((len(rest), ts.size), dtype=complex)
+        series = max(abs(c) for c, _ in kept) * tb <= series_radius(beta)
+        if np.any(series):
+            rows[:, series] = _series_values(beta, kept, tb[series])
+        if not np.all(series):
+            rows[:, ~series] = _window_values(beta, kept, ts[~series])
+        out[rest] = rows
+    if not np.all(np.isfinite(out)):
         raise NonConvergence("batch Mittag-Leffler evaluation produced non-finite values")
+    return out

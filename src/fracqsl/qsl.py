@@ -43,14 +43,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateState, InvalidParams
-from .jcmodel import (
-    JCParams,
-    QubitDynamics,
-    check_time,
-    cycle_lattice,
-    evolve,
-    scaled_time,
-)
+from .jcmodel import JCParams, QubitDynamics, cycle_lattice, evolve, scaled_time
+from .mlfun import check_time
 
 __all__ = [
     "QslPoint",

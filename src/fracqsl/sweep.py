@@ -33,8 +33,8 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import InvalidParams, TooFewPoints, UnknownFigure
-from .jcmodel import JCParams, check_time, scaled_time
-from .mlfun import is_real
+from .jcmodel import JCParams, scaled_time
+from .mlfun import check_time, is_real
 from .qsl import QslPoint, qsl_curve
 
 __all__ = [
@@ -175,7 +175,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[CurveRecord]:
     ``threads`` (a positive integer) sizes the pool the groups are spread
     over; it changes no output bit.
     """
-    if not isinstance(threads, int) or threads < 1:
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise InvalidParams(f"threads must be a positive integer, got {threads!r}")
     records: dict[float, CurveRecord] = {}
     groups: dict[tuple[float, float, float], list[tuple[float, JCParams, float]]] = {}

@@ -135,3 +135,25 @@ def test_batch_kernel_shares_no_code_with_the_scalar_contour():
     assert {"_window_contour", "_node_exponentials", "_residue_factor"} <= reached
     assert "_ml_contour" not in reached
     assert "ml_global" not in reached
+
+
+def test_order_check_has_one_home():
+    # The order is the one parameter every layer takes; its test lives in
+    # ``mlfun.check_order`` alone, so the layers cannot drift apart again.
+    mlfun = next(p for p in SOURCES if p.name == "mlfun.py")
+    checks = [
+        node
+        for node in ast.parse(mlfun.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "check_order"
+    ]
+    assert len(checks) == 1, "mlfun defines no check_order"
+    home = {("mlfun.py", node.lineno) for node in ast.walk(checks[0]) if isinstance(node, ast.Raise)}
+    found = set()
+    for path, node in _nodes():
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "InvalidOrder":
+                found.add((path.name, node.lineno))
+    assert home
+    strays = sorted(f"{name}:{line}" for name, line in found - home)
+    assert not strays, f"InvalidOrder raised outside mlfun.check_order: {strays}"

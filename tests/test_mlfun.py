@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import sys
 import warnings
@@ -14,6 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, gamma as gamma_fn
 
+from fracqsl.caputo import (
+    SampledSignal,
+    caputo_derivative,
+    caputo_derivative_all,
+    tfse_residual,
+)
 from fracqsl.errors import (
     BranchDomain,
     InvalidOrder,
@@ -21,6 +28,7 @@ from fracqsl.errors import (
     NonConvergence,
     QuadratureFailure,
 )
+from fracqsl.jcmodel import JCParams
 from fracqsl.mlfun import (
     MLOrder,
     ml_global,
@@ -39,7 +47,44 @@ def rel_err(got: complex, want: complex) -> float:
     return abs(got - want) / (1.0 + abs(want))
 
 
+_GRID = np.linspace(0.0, 1.0, 11)
+# Every public function that takes an order, as a function of beta alone.
+_ORDER_ENTRY_POINTS = {
+    "MLOrder": MLOrder,
+    "ml_linear_batch": lambda beta: ml_linear_batch(
+        beta, [(1j, 1.0), (-1j, beta)], [0.0, 0.5, 30.0]
+    ),
+    "ml_split": lambda beta: ml_split(beta, 1.0, 2.0),
+    "ml_time_derivative": lambda beta: ml_time_derivative(beta, 1j, 2.0),
+    "JCParams": lambda beta: JCParams(beta=beta, lam=0.5, n=1),
+    "caputo_derivative": lambda beta: caputo_derivative(
+        SampledSignal(_GRID, _GRID**2), beta, 5
+    ),
+    "caputo_derivative_all": lambda beta: caputo_derivative_all(
+        SampledSignal(_GRID, _GRID**2), beta
+    ),
+    "tfse_residual": lambda beta: tfse_residual(
+        beta, np.eye(2), SampledSignal(_GRID, np.exp(-1j * _GRID)[:, None] * [1.0, 0.5])
+    ),
+}
+
+
 class TestOrderValidation:
+    @pytest.mark.parametrize("name", sorted(_ORDER_ENTRY_POINTS))
+    def test_every_entry_point_checks_the_order(self, name):
+        # One check serves every layer: a bool, a string, a non-finite or
+        # out-of-range order is refused alike, and a numpy scalar is its float.
+        call = _ORDER_ENTRY_POINTS[name]
+        for beta in (True, "0.5", math.nan, 0.0, 1.5):
+            with pytest.raises(InvalidOrder):
+                call(beta)
+        got, want = call(np.float32(0.5)), call(0.5)
+        if dataclasses.is_dataclass(want):
+            assert got == want
+            assert type(got.beta) is float
+        else:
+            assert np.array_equal(got, want)
+
     def test_beta_range(self):
         with pytest.raises(InvalidOrder):
             MLOrder(0.0)
@@ -319,6 +364,16 @@ class TestSplit:
             ml_split(0.5, 1.0, -2.0)
         with pytest.raises(InvalidOrder):
             ml_split(1.5, 1.0, 1.0)
+        # True would pass as 1.
+        with pytest.raises(InvalidParams):
+            ml_split(0.5, 1.0, True)
+        with pytest.raises(InvalidParams):
+            ml_split(0.5, True, 1.0)
+
+    def test_numpy_eigenvalue_is_taken_as_its_float(self):
+        # A float32 times a complex is a complex64 under numpy's promotion.
+        alpha = np.float32(1.3)
+        assert ml_split(0.5, alpha, 2.0) == ml_split(0.5, float(alpha), 2.0)
 
 
 class TestTimeDerivative:
@@ -346,6 +401,9 @@ class TestTimeDerivative:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(InvalidParams):
             ml_time_derivative(0.5, 1.0 + 0.0j, 0.0)
+        # True would pass as 1.
+        with pytest.raises(InvalidParams):
+            ml_time_derivative(0.5, 1j, True)
 
 
 class TestLinearBatch:
@@ -394,6 +452,19 @@ class TestLinearBatch:
     def test_zero_coefficient_row(self):
         got = ml_linear_batch(0.5, [(0.0j, 1.0)], np.linspace(0.0, 2.0, 5))
         assert np.allclose(got[0], 1.0)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.8])
+    def test_zero_pair_beside_others_on_both_routes(self, beta):
+        # A zero pair is the constant 1/Gamma(gamma) and leaves the other
+        # rows' series terms and window contours as they are without it.
+        c = 1.3 * (-1j) ** beta
+        ts = np.concatenate([np.linspace(0.0, 2.0, 6), np.geomspace(20.0, 300.0, 9)])
+        series = abs(c) * ts**beta <= series_radius(beta)
+        assert series.any() and not series.all()
+        gamma = 2.5
+        got = ml_linear_batch(beta, [(0j, gamma), (c, 1.0), (-c, beta)], ts)
+        assert np.all(got[0] == rgamma(gamma))
+        assert np.array_equal(got[1:], ml_linear_batch(beta, [(c, 1.0), (-c, beta)], ts))
 
     def test_beta_one_rows(self):
         ts = np.linspace(0.0, 2.0, 9)

@@ -74,8 +74,9 @@ class TestSpecValidation:
             small_tau_spec(fixed={"beta": 0.7, "lam": 0.5, "n": 3, "api": 1})
 
     def test_bad_threads(self):
-        with pytest.raises(InvalidParams):
-            run_sweep(small_tau_spec(), threads=0)
+        for threads in (0, True):
+            with pytest.raises(InvalidParams):
+                run_sweep(small_tau_spec(), threads=threads)
 
     def test_params_at_defaults_to_balanced_weights(self):
         spec = small_tau_spec()
