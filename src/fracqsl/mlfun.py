@@ -25,9 +25,9 @@ pole is either enclosed, and its residue added, or left outside.  The
 factor exp(s_k * t) of the trapezoid sum depends only on the nodes and
 the time, so it is computed once per time (one complex exp, then powers
 of it) and multiplied by every pair's weights.  Both routes build their
-powers by the same doubling.  Every value depends only on its own time,
-never on the batch it was evaluated in.  The batch shares no code with
-``_ml_contour`` or with the cut mesh of ``ml_split``.
+powers by the same doubling.  A value depends on its own time and the
+call's list of pairs, never on the other times.  The batch shares no
+code with ``_ml_contour`` or with the cut mesh of ``ml_split``.
 
 Each input decision has one home here: ``check_order`` refuses an order
 pair outside beta in (0, 1], gamma > 0 with ``InvalidOrder``, and
@@ -761,8 +761,8 @@ def ml_linear_batch(
     windows [2**(e-1), 2**e), each with its own cached Bromwich contour:
     the factors exp(s_k * t) of a time are multiplied by the weight
     columns of every pair in one matrix-vector product per time, and the
-    residues of the poles the contour encloses are added.  Each value
-    therefore depends only on its own time and pair, not on the batch.
+    residues of the poles the contour encloses are added.  A value thus
+    depends on its own time and the list of pairs, not on other times.
     A non-finite coefficient raises ``InvalidParams``; an order that
     ``check_order`` refuses (a bool included) raises ``InvalidOrder``.
 

@@ -16,12 +16,12 @@ every (params, tau) with the same (beta, a, b) reads one unit-coupling
 curve: the state at tau is the unit curve's state at s, and the
 variation over [0, tau] is the unit curve's variation over [0, s].
 ``qsl_curve`` answers any number of such pairs from one pass over that
-curve, with the variation up to each s a prefix sum over the extrema;
-``qsl_point`` is its one-pair case.  Extrema are bracketed on the fixed
-lattice of ``cycle_lattice`` and at probe times fixed inside its cells
-(where two extrema may share a cell), and every Mittag-Leffler value
-depends on its own time only, so a point's bits do not depend on which
-other points share the pass.  Zero coupling is frozen dynamics.
+curve, as one checked table with a row per pair; ``qsl_point`` is its
+one-row view.  Extrema are bracketed on the fixed lattice of
+``cycle_lattice`` and at probe times fixed inside its cells (where two
+extrema may share a cell), and every Mittag-Leffler value depends on its
+own time and the pass's fixed pairs only, so a row's bits do not depend
+on which other points share the pass.  Zero coupling is frozen dynamics.
 ``qsl_mlmt`` bounds the time a state needs to reach the relative purity
 observed a window tau_D later; it reads both window ends from the same
 kind of pass, and its variation is the difference of their prefix sums.
@@ -83,23 +83,36 @@ class QslPoint:
     ratio_max: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise InvalidParams("speed-limit fields must be finite numbers")
-            object.__setattr__(self, f.name, float(v))
-        if self.tau <= 0.0:
-            raise InvalidParams(f"tau must be positive, got {self.tau!r}")
-        if not (-1e-12 <= self.sin2_bures <= 1.0 + 1e-12):
-            raise InvalidParams(f"sin2_bures outside [0, 1]: {self.sin2_bures!r}")
-        slack = 1e-9 * (1.0 + self.lambda_tr)
-        if not (0.0 <= self.lambda_op <= self.lambda_hs + slack):
-            raise InvalidParams("norm ordering violated: op above hs")
-        if not (self.lambda_hs <= self.lambda_tr + slack):
-            raise InvalidParams("norm ordering violated: hs above tr")
-        for name, r in (("ratio_op", self.ratio_op), ("ratio_max", self.ratio_max)):
-            if not (0.0 <= r <= 1.0 + 1e-9):
-                raise InvalidParams(f"{name} outside [0, 1]: {r!r}")
+        row = [getattr(self, f.name) for f in fields(self)]
+        if not all(isinstance(v, (int, float)) for v in row):
+            raise InvalidParams("speed-limit fields must be finite numbers")
+        row = [float(v) for v in row]
+        _check_rows(row)
+        for f, v in zip(fields(self), row):
+            object.__setattr__(self, f.name, v)
+
+
+def _check_rows(columns) -> None:
+    """Raise InvalidParams unless every row is a valid bound summary.
+
+    ``columns`` are the seven columns of a ``qsl_curve`` table in
+    ``QslPoint`` field order, or the seven floats of one ``QslPoint``.
+    """
+    tau, sin2, tr, hs, op, r_op, r_max = columns
+    slack = 1e-9 * (1.0 + tr)
+    for holds, message, shown in (
+        (np.isfinite(columns).all(axis=0), "speed-limit fields must be finite numbers", tau),
+        (tau > 0.0, "tau must be positive, got {!r}", tau),
+        ((-1e-12 <= sin2) & (sin2 <= 1.0 + 1e-12), "sin2_bures outside [0, 1]: {!r}", sin2),
+        ((0.0 <= op) & (op <= hs + slack), "norm ordering violated: op above hs", op),
+        (hs <= tr + slack, "norm ordering violated: hs above tr", hs),
+        ((0.0 <= r_op) & (r_op <= 1.0 + 1e-9), "ratio_op outside [0, 1]: {!r}", r_op),
+        ((0.0 <= r_max) & (r_max <= 1.0 + 1e-9), "ratio_max outside [0, 1]: {!r}", r_max),
+    ):
+        # A row of floats gives bools; np.all would cost more than the rules.
+        if holds is not True and not np.asarray(holds).all():
+            bad = np.asarray(shown)[~np.asarray(holds)]
+            raise InvalidParams(message.format(float(bad[0])))
 
 
 @dataclass(frozen=True)
@@ -268,34 +281,17 @@ def _variation_to(
     return cum[j] + np.abs(rho_ends - node_vals[j])
 
 
-def _point_from_variation(tau: float, sin2: float, tv: float) -> QslPoint:
-    """Bound summary from sin^2(B) and the total variation over [0, tau].
+def _bound_table(taus: np.ndarray, sin2: np.ndarray, tvs: np.ndarray) -> np.ndarray:
+    """Bound summaries from sin^2(B) and the total variation over [0, tau].
 
-    The Schatten norms of diag(-r, r) are (2, sqrt 2, 1) * |r|, so the
-    operator-norm ratio is the largest of the three and is ``ratio_max``.
+    One row per tau, columns in ``QslPoint`` field order.  The Schatten
+    norms of diag(-r, r) are (2, sqrt 2, 1) * |r|, so the operator-norm
+    ratio is the largest of the three and is ``ratio_max``.  Frozen rows
+    (no variation) have no average speed and ratios 0.
     """
-    lam_op = tv / tau
-    if tv == 0.0:
-        # Frozen dynamics: no displacement, no average speed.
-        return QslPoint(
-            tau=tau,
-            sin2_bures=sin2,
-            lambda_tr=0.0,
-            lambda_hs=0.0,
-            lambda_op=0.0,
-            ratio_op=0.0,
-            ratio_max=0.0,
-        )
-    ratio_op = sin2 / tv
-    return QslPoint(
-        tau=tau,
-        sin2_bures=sin2,
-        lambda_tr=2.0 * lam_op,
-        lambda_hs=_SQRT2 * lam_op,
-        lambda_op=lam_op,
-        ratio_op=ratio_op,
-        ratio_max=ratio_op,
-    )
+    lam_op = tvs / taus
+    ratio = np.divide(sin2, tvs, out=np.zeros_like(tvs), where=tvs != 0.0)
+    return np.column_stack([taus, sin2, 2.0 * lam_op, _SQRT2 * lam_op, lam_op, ratio, ratio])
 
 
 def _unit_curve(
@@ -328,8 +324,8 @@ def _unit_curve(
     return rho, tvs
 
 
-def qsl_curve(params, taus) -> list[QslPoint]:
-    """Speed-limit ratios at every tau in ``taus`` from one unit-curve pass.
+def qsl_curve(params, taus) -> np.ndarray:
+    """Speed-limit table for every tau in ``taus`` from one unit-curve pass.
 
     ``params`` is one ``JCParams`` for every tau, or a sequence of them,
     one per tau, that all share (beta, a, b).  Each pair is answered on
@@ -337,8 +333,8 @@ def qsl_curve(params, taus) -> list[QslPoint]:
     sampled once on the lattice up to the largest s, its extrema are
     located once, and each s reads a prefix sum of the variation plus one
     endpoint term; ``lambda_op`` is that variation over tau.  Pairs with
-    zero coupling are frozen.  Every point equals its own ``qsl_point``
-    bit for bit.
+    zero coupling are frozen.  Row i of the returned (len(taus), 7) table
+    equals the fields of ``qsl_point(params[i], taus[i])`` bit for bit.
     """
     if np.ndim(taus) != 1 or len(taus) == 0:
         raise InvalidParams(f"taus must be a nonempty list of times, got {taus!r}")
@@ -350,15 +346,14 @@ def qsl_curve(params, taus) -> list[QslPoint]:
         raise InvalidParams("the parameters of one curve must share (beta, a, b)")
     scaled, powers = np.array([scaled_time(p, tau) for p, tau in zip(plist, taus)]).T
     rho, tvs = _unit_curve(plist[0], scaled, powers)
-    return [
-        _point_from_variation(float(tau), float(sin2), float(tv))
-        for tau, sin2, tv in zip(taus, np.abs(rho - 1.0), tvs)
-    ]
+    table = _bound_table(np.array(taus, dtype=float), np.abs(rho - 1.0), tvs)
+    _check_rows(table.T)
+    return table
 
 
 def qsl_point(params: JCParams, tau: float) -> QslPoint:
-    """Speed-limit ratios for the dynamics run up to time tau."""
-    return qsl_curve(params, [tau])[0]
+    """Speed-limit ratios up to time tau: ``qsl_curve``'s one row."""
+    return QslPoint(*qsl_curve(params, [tau])[0])
 
 
 def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:

@@ -3,11 +3,11 @@
 A sweep varies one axis (tau, lambda, n, or beta) while the remaining
 model parameters stay fixed.  ``SweepSpec`` is the sweep's data: its
 ``echo`` and ``fingerprint`` identify it, and the output files carry
-them.  Results are plain records whose columns are the ``QslPoint``
-fields; they serialize to CSV or JSON with repr-exact floats, so
-rerunning a sweep with the same inputs reproduces the output byte for
-byte regardless of the thread count: each group's arithmetic is
-independent.
+them.  Results are plain records that keep their row of a checked
+``qsl_curve`` table as floats; they serialize to CSV or JSON with
+repr-exact floats and no ``QslPoint`` per row, so rerunning a sweep
+with the same inputs reproduces the output byte for byte regardless of
+the thread count: each group's arithmetic is independent.
 
 Grid values that share (beta, a, b) form one group, answered by one
 ``qsl_curve`` pass over that group's unit-coupling curve: a tau, lambda
@@ -54,6 +54,7 @@ _FIXED_KEYS = ("beta", "lam", "n", "a", "b", "tau")
 
 _POINT_FIELDS = tuple(f.name for f in fields(QslPoint))
 CSV_COLUMNS = ("axis", "axis_value", *_POINT_FIELDS, "error")
+_RATIO_OP = _POINT_FIELDS.index("ratio_op")
 
 
 def _integer(value) -> int:
@@ -84,11 +85,13 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in _AXES:
             raise InvalidParams(f"axis must be one of {_AXES}, got {self.axis!r}")
-        grid = np.asarray(self.grid, dtype=float)
+        # Per raw element: float() would take a bool as 0 or 1.
+        raw = np.asarray(self.grid, dtype=object)
+        if not all(is_real(v) and math.isfinite(v) for v in raw.flat):
+            raise InvalidParams("grid values must be finite real numbers")
+        grid = raw.astype(float)
         if grid.ndim != 1 or grid.size < 2:
             raise InvalidParams("grid must be a 1-d array of at least 2 values")
-        if not np.all(np.isfinite(grid)):
-            raise InvalidParams("grid values must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise InvalidParams("grid must be strictly increasing")
         if not isinstance(self.fixed, dict):
@@ -150,13 +153,19 @@ class SweepSpec:
 class CurveRecord:
     """One sweep point: the axis value and its bound summary.
 
-    ``point`` is None exactly when ``error`` is set; failures travel as
+    ``row`` holds its ``qsl_curve`` row as floats (``QslPoint`` field
+    order), or None exactly when ``error`` is set; failures travel as
     data so one bad point cannot abort a long sweep.
     """
 
     axis_value: float
-    point: QslPoint | None
+    row: tuple[float, ...] | None
     error: str | None = None
+
+    @property
+    def point(self) -> QslPoint | None:
+        """The row as a ``QslPoint``, built on each access."""
+        return None if self.row is None else QslPoint(*self.row)
 
 
 def _error_text(exc: Exception) -> str:
@@ -185,18 +194,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[CurveRecord]:
             # Checked per value, so a value past the grid cap fails alone.
             scaled_time(params, tau)
         except Exception as exc:
-            records[value] = CurveRecord(axis_value=value, point=None, error=_error_text(exc))
+            records[value] = CurveRecord(axis_value=value, row=None, error=_error_text(exc))
         else:
             key = (params.beta, params.a, params.b)
             groups.setdefault(key, []).append((value, params, tau))
 
     def run_group(members: list[tuple[float, JCParams, float]]) -> list[CurveRecord]:
         try:
-            points = qsl_curve([p for _, p, _ in members], [tau for _, _, tau in members])
+            table = qsl_curve([p for _, p, _ in members], [tau for _, _, tau in members])
         except Exception as exc:
             text = _error_text(exc)
-            return [CurveRecord(axis_value=v, point=None, error=text) for v, _, _ in members]
-        return [CurveRecord(axis_value=v, point=p) for (v, _, _), p in zip(members, points)]
+            return [CurveRecord(axis_value=v, row=None, error=text) for v, _, _ in members]
+        rows = map(tuple, table.tolist())  # plain floats, printed with repr
+        return [CurveRecord(axis_value=v, row=r) for (v, _, _), r in zip(members, rows)]
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -233,7 +243,7 @@ def detect_revivals(curve) -> tuple[int, list[tuple[float, float]]]:
                 f"curve has {len(bad)} failed points; revivals need a clean curve"
             )
         axis_vals = np.array([r.axis_value for r in curve], dtype=float)
-        vals = np.array([r.point.ratio_op for r in curve], dtype=float)
+        vals = np.array([r.row[_RATIO_OP] for r in curve], dtype=float)
         if not np.all(np.diff(axis_vals) > 0.0):
             raise InvalidParams("curve axis must be strictly increasing")
     if vals.size < 8:
@@ -314,33 +324,24 @@ def figure_preset(figure: str) -> list[SweepSpec]:
     raise UnknownFigure(f"no preset named {figure!r}; know fig2, fig3, fig4, fig5")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        # Plain-float repr; numpy scalars would otherwise print their type.
-        return repr(float(value))
-    return str(value)
-
-
 def _row(spec: SweepSpec, rec: CurveRecord) -> dict:
     """One output row; a failed record carries no point fields."""
     row = {"axis": spec.axis, "axis_value": rec.axis_value, "error": rec.error}
-    if rec.point is not None:
-        # getattr, not dataclasses.asdict: asdict's deep copy doubles the
-        # cost of writing a large sweep.
-        row.update((name, getattr(rec.point, name)) for name in _POINT_FIELDS)
+    if rec.row is not None:
+        row.update(zip(_POINT_FIELDS, rec.row))
     return row
 
 
 def records_to_csv(spec: SweepSpec, records: list[CurveRecord]) -> str:
-    """RFC-4180 text with repr-exact floats; stable across reruns."""
+    """RFC-4180 text; the csv module writes floats as repr, None as empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        row = _row(spec, rec)
-        writer.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
+    blank = (None,) * len(_POINT_FIELDS)
+    writer.writerows(
+        [spec.axis, rec.axis_value, *(blank if rec.row is None else rec.row), rec.error]
+        for rec in records
+    )
     return buf.getvalue()
 
 
@@ -350,15 +351,16 @@ def records_to_json(spec: SweepSpec, records: list[CurveRecord]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _serializer(fmt: str):
+    if fmt not in ("csv", "json"):
+        raise InvalidParams(f"unknown format {fmt!r}")
+    return records_to_csv if fmt == "csv" else records_to_json
+
+
 def write_records(
     path: str, spec: SweepSpec, records: list[CurveRecord], fmt: str = "csv"
 ) -> None:
-    if fmt == "csv":
-        text = records_to_csv(spec, records)
-    elif fmt == "json":
-        text = records_to_json(spec, records)
-    else:
-        raise InvalidParams(f"unknown format {fmt!r}")
+    text = _serializer(fmt)(spec, records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -382,13 +384,12 @@ def run_figure(
     written data files and the number of failed points.
     """
     specs = figure_preset(figure)
+    _serializer(fmt)  # refuses an unknown format before any work
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     paths = []
-    failures = 0
     for spec in specs:
         records = run_sweep(spec, threads)
-        failures += sum(1 for r in records if r.error is not None)
         name = f"{spec.label}.{fmt}"
         path = os.path.join(out_dir, name)
         write_records(path, spec, records, fmt)
@@ -414,4 +415,4 @@ def run_figure(
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return paths, failures
+    return paths, sum(e["errors"] for e in entries)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracqsl import jcmodel
+from fracqsl import jcmodel, qsl
 from fracqsl.errors import GridTooCoarse, InvalidParams
 from fracqsl.jcmodel import JCParams, QubitDynamics
 from fracqsl.qsl import MLMTResult, QslPoint, qsl_curve, qsl_mlmt, qsl_point, qsl_ratio_formula
@@ -45,6 +46,35 @@ class TestPointValidation:
                 ratio_op=0.5,
                 ratio_max=0.5,
             )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1.0, 0.3, 2.0, math.nan, 1.0, 0.3, 0.3),
+            (-1.0, 0.3, 2.0, 1.4, 1.0, 0.3, 0.3),
+            (1.0, 1.5, 2.0, 1.4, 1.0, 0.3, 0.3),
+            (1.0, 0.3, 2.0, 1.4, 1.5, 0.3, 0.3),
+            (1.0, 0.3, 1.0, 2.0, 0.5, 0.3, 0.3),
+            (1.0, 0.3, 2.0, 1.4, 1.0, 1.5, 0.3),
+            (1.0, 0.3, 2.0, 1.4, 1.0, 0.3, -0.1),
+        ],
+    )
+    def test_curve_table_is_checked_like_a_point(self, monkeypatch, bad):
+        # One rule set serves both: a table row that QslPoint refuses makes
+        # qsl_curve raise the same message.
+        with pytest.raises(InvalidParams) as point_error:
+            QslPoint(*bad)
+        build = qsl._bound_table
+
+        def spoiled(*args):
+            table = build(*args)
+            table[1] = bad
+            return table
+
+        monkeypatch.setattr(qsl, "_bound_table", spoiled)
+        with pytest.raises(InvalidParams) as curve_error:
+            qsl_curve(JCParams(beta=0.5, lam=0.5, n=2), [0.5, 1.0, 1.5])
+        assert str(curve_error.value) == str(point_error.value)
 
     def test_ratio_bounds_enforced(self):
         with pytest.raises(InvalidParams):
@@ -185,8 +215,8 @@ class TestGeometricBound:
         params = [JCParams(beta=beta, lam=lam, n=n, **weights) for lam, n, _ in draws]
         taus = [tau for _, _, tau in draws]
         assume(max(p.coupling ** (1.0 / beta) * t for p, t in zip(params, taus)) <= 400.0)
-        for p, tau, pt in zip(params, taus, qsl_curve(params, taus)):
-            assert pt == qsl_point(p, tau)
+        for p, tau, row in zip(params, taus, qsl_curve(params, taus)):
+            assert tuple(row) == astuple(qsl_point(p, tau))
 
     def test_grouped_curve_refuses_mixed_groups(self):
         p = JCParams(beta=0.5, lam=0.5, n=2)
@@ -408,8 +438,8 @@ class TestGridStability:
         pt = qsl_point(p, s)
         # Points next to the pair read the same probes alone and together.
         taus = [z - 0.3, z - 0.05, z, z + 0.05, z + 0.3, s]
-        for tau, got in zip(taus, qsl_curve(p, taus)):
-            assert got == qsl_point(p, tau)
+        for tau, row in zip(taus, qsl_curve(p, taus)):
+            assert tuple(row) == astuple(qsl_point(p, tau))
         monkeypatch.setattr(jcmodel, "_NODES_PER_RADIAN", 51.0)
         dense = qsl_point(p, s)
         assert pt.lambda_op == pytest.approx(dense.lambda_op, rel=1e-10, abs=0.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fracqsl.errors import InvalidParams, TooFewPoints, UnknownFigure
 from fracqsl.jcmodel import JCParams
-from fracqsl.qsl import qsl_point
+from fracqsl.qsl import QslPoint, qsl_point
 from fracqsl.sweep import (
     CSV_COLUMNS,
     CurveRecord,
@@ -60,6 +60,17 @@ class TestSpecValidation:
     def test_non_finite_grid(self):
         with pytest.raises(InvalidParams):
             small_tau_spec(grid=np.array([0.5, np.nan]))
+
+    def test_bool_grid(self):
+        # False and True would pass as 0 and 1.
+        with pytest.raises(InvalidParams):
+            SweepSpec(
+                axis="lambda",
+                grid=np.array([False, True]),
+                fixed={"beta": 0.5, "n": 1, "tau": 1.0},
+            )
+        with pytest.raises(InvalidParams):
+            small_tau_spec(grid=[False, True])
 
     def test_axis_param_cannot_be_fixed(self):
         with pytest.raises(InvalidParams):
@@ -411,6 +422,21 @@ class TestSerialization:
             assert float(row[6]) == rec.point.lambda_op
             assert float(row[7]) == rec.point.ratio_op
 
+    def test_sweep_to_csv_builds_no_point(self, monkeypatch):
+        # A sweep's rows go from qsl_curve's checked table to the writer
+        # as floats; a QslPoint is built only where one point is asked for.
+        built = []
+        check = QslPoint.__post_init__
+        monkeypatch.setattr(QslPoint, "__post_init__", lambda pt: built.append(check(pt)))
+        spec = SweepSpec(
+            axis="lambda",
+            grid=np.linspace(0.0, 1.0, 81),
+            fixed={"beta": 0.5, "n": 5, "tau": 1.0},
+        )
+        text = records_to_csv(spec, run_sweep(spec))
+        assert text.count("\n") == 82
+        assert built == []
+
     def test_csv_uses_lf_line_endings(self):
         spec = small_tau_spec(grid=np.array([0.5, 1.0]))
         text = records_to_csv(spec, run_sweep(spec))
@@ -457,7 +483,7 @@ class TestSerialization:
             write_records(str(tmp_path / "x.bin"), spec, run_sweep(spec), "bin")
 
     def test_error_text_is_single_line(self):
-        rec = CurveRecord(axis_value=1.0, point=None, error="InvalidParams: x")
+        rec = CurveRecord(axis_value=1.0, row=None, error="InvalidParams: x")
         assert "\n" not in rec.error
 
 
@@ -473,6 +499,12 @@ class TestRunFigure:
             digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
             assert entry["sha256"] == digest
             assert entry["errors"] == 0
+
+    def test_unknown_format_is_refused_before_any_work(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParams):
+            run_figure("fig4", str(out), fmt="bin")
+        assert not out.exists()
 
     def test_json_output_echoes_no_format(self, tmp_path):
         paths, failures = run_figure("fig4", str(tmp_path), fmt="json")
