@@ -7,9 +7,10 @@ the derivative is an explicit multiple of |d rho_ee/dt|, so the exact
 time average is the total variation of the excited-state population
 divided by tau.  The total variation is assembled from the population
 values at the extrema (located by sign changes of the rate and refined
-by a bracketing secant iteration), which keeps the bound free of
-quadrature error: within a monotone segment the integral of |rate| is
-the endpoint difference.
+by a bracketing secant iteration that samples the population with the
+rate, so each extremum's value comes from the call that found it),
+which keeps the bound free of quadrature error: within a monotone
+segment the integral of |rate| is the endpoint difference.
 
 The coupling enters the dynamics only through s = g**(1/beta) * t, so
 every (params, tau) with the same (beta, a, b) reads one unit-coupling
@@ -42,7 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DegenerateState, InvalidParams
+from .errors import DegenerateState, InvalidParams, NonConvergence
 from .jcmodel import JCParams, QubitDynamics, cycle_lattice, evolve, scaled_time
 from .mlfun import check_time
 
@@ -62,6 +63,8 @@ _PANEL_POINTS = 15
 # Probe times per two-cell window in which the rate keeps its sign; see
 # ``_hidden_crossings``.
 _PROBES = 15
+# Secant iterations after which an extremum bracket still open is an error.
+_REFINE_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -142,42 +145,48 @@ def _refine_crossings(
     hi: np.ndarray,
     f_lo: np.ndarray,
     f_hi: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Bracketed secant (Illinois) zero search on the population rate.
 
-    All brackets advance together; each iteration costs one vectorized
-    rate evaluation.  Stops when every bracket has shrunk by 1e-8
-    relative to its initial width.
+    The open brackets advance together; each iteration costs one
+    ``population_sample`` call on their secant points.  A bracket closes
+    when the rate there reads exactly 0 or when it has shrunk to 1e-8 of
+    its initial width.  A secant point closer than half that width to an
+    end moves that far inside instead (the tolerance step of Brent's
+    zeroin), so a root already known to rounding closes its bracket on
+    the next call rather than halving the far end call after call.
+
+    Returns each bracket's last iterate and rho_ee there, as that call
+    sampled it.  Raises NonConvergence if brackets are still open after
+    ``_REFINE_CAP`` iterations.
     """
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
-    fa = f_lo.astype(float).copy()
-    fb = f_hi.astype(float).copy()
-    width0 = np.abs(b - a)
-    live = width0 > 0.0
-    for _ in range(40):
-        if not np.any(live):
-            break
-        denom = fb - fa
-        safe = live & (denom != 0.0)
-        m = np.where(safe, (a * fb - b * fa) / np.where(denom == 0.0, 1.0, denom), 0.5 * (a + b))
-        inside = (m > np.minimum(a, b)) & (m < np.maximum(a, b))
-        m = np.where(inside, m, 0.5 * (a + b))
-        fm = np.zeros_like(m)
-        fm[live] = engine.population_rate(m[live])
-        exact = live & (fm == 0.0)
-        same_side = fm * fb > 0.0
-        keep_a = live & ~same_side & ~exact
-        halve = live & same_side & ~exact
-        # Illinois step: replace the repeated endpoint's value by half.
-        a = np.where(keep_a, b, a)
-        fa = np.where(keep_a, fb, np.where(halve, 0.5 * fa, fa))
-        b = np.where(live & ~exact, m, b)
-        fb = np.where(live & ~exact, fm, fb)
-        a = np.where(exact, m, a)
-        b = np.where(exact, m, b)
-        live = live & (np.abs(b - a) > 1e-8 * width0) & ~exact
-    return 0.5 * (a + b)
+    a, b, fa, fb = (np.asarray(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
+    tol = 1e-8 * np.abs(b - a)
+    zs = np.empty(a.size)
+    rho = np.empty(a.size)
+    left = np.arange(a.size)
+    for _ in range(_REFINE_CAP):
+        if left.size == 0:
+            return zs, rho
+        half = 0.5 * tol
+        m = np.clip((a * fb - b * fa) / (fb - fa), np.minimum(a, b) + half, np.maximum(a, b) - half)
+        rho_m, _, fm = engine.population_sample(m)
+        # Illinois step: an end that stays for a second time keeps half its value.
+        flip = fm * fb < 0.0
+        a = np.where(flip, b, a)
+        fa = np.where(flip, fb, 0.5 * fa)
+        b, fb = m, fm
+        done = (fm == 0.0) | (np.abs(b - a) <= tol)
+        zs[left[done]] = m[done]
+        rho[left[done]] = rho_m[done]
+        left, a, b, fa, fb, tol = (x[~done] for x in (left, a, b, fa, fb, tol))
+    if left.size:
+        widest = 1e-8 * float(np.max(np.abs(b - a) / tol))
+        raise NonConvergence(
+            f"{left.size} extremum brackets still open after {_REFINE_CAP} "
+            f"iterations; the widest is {widest:.3g} of its initial width"
+        )
+    return zs, rho
 
 
 def _hidden_crossings(
@@ -197,8 +206,8 @@ def _hidden_crossings(
     so what is found does not depend on how far the nodes run past the
     window.  Only windows that start before ``before`` are probed.
 
-    Returns the (lo, hi, f_lo, f_hi) brackets of the sign changes and the
-    probe times where the rate is exactly 0.
+    Returns the (lo, hi, f_lo, f_hi) brackets of the sign changes, the
+    probe times where the rate is exactly 0, and rho_ee at those times.
     """
     k = np.flatnonzero(
         (f[:-2] * f[1:-1] > 0.0)
@@ -214,44 +223,54 @@ def _hidden_crossings(
         if lo.size == 0:
             break
         probes = lo[:, None] + (hi - lo)[:, None] * frac
-        rates = engine.population_rate(probes.ravel()).reshape(probes.shape)
+        rho, _, rates = engine.population_sample(probes.ravel())
+        rho, rates = rho.reshape(probes.shape), rates.reshape(probes.shape)
         xs = np.column_stack([lo, probes, hi])
         fs = np.column_stack([f_lo, rates, f_hi])
         signs = fs[:, :-1] * fs[:, 1:]
         rows, cols = np.nonzero(signs < 0.0)
         lo_, hi_ = (rows, cols), (rows, cols + 1)
-        found.append((xs[lo_], xs[hi_], fs[lo_], fs[hi_], probes[rates == 0.0]))
+        zero = rates == 0.0
+        found.append((xs[lo_], xs[hi_], fs[lo_], fs[hi_], probes[zero], rho[zero]))
         quiet = np.flatnonzero(np.all(signs > 0.0, axis=1))
         m = 1 + np.argmin(np.abs(rates[quiet]), axis=1)
         lo, hi = xs[quiet, m - 1], xs[quiet, m + 1]
         f_lo, f_hi = fs[quiet, m - 1], fs[quiet, m + 1]
     if not found:
-        return (np.empty(0),) * 5
+        return (np.empty(0),) * 6
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _extrema_times(
-    engine: QubitDynamics, times: np.ndarray, rates: np.ndarray, before: float = math.inf
-) -> np.ndarray:
-    """Interior times where the population rate changes sign.
+def _extrema(
+    engine: QubitDynamics,
+    times: np.ndarray,
+    rho_ee: np.ndarray,
+    rates: np.ndarray,
+    before: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior times where the population rate changes sign, and rho_ee there.
 
-    ``times`` must start at 0, where the rate carries the conventional
-    value 0 (see ``population_sample``); node 0 is left out of the sign
-    logic.  Cells that start at or after ``before`` are left unsearched.
+    ``rho_ee`` and ``rates`` are sampled at ``times``, which must start
+    at 0, where the rate carries the conventional value 0 (see
+    ``population_sample``); node 0 is left out of the sign logic.  Cells
+    that start at or after ``before`` are left unsearched.  Each
+    population is the one sampled where its time was found, so none
+    needs another call.
     """
-    t = times[1:]
-    f = rates[1:]
+    t, r, f = times[1:], rho_ee[1:], rates[1:]
     idx = np.flatnonzero((f[:-1] * f[1:] < 0.0) & (t[:-1] < before))
-    lo, hi, f_lo, f_hi, exact = _hidden_crossings(engine, t, f, before)
+    lo, hi, f_lo, f_hi, exact, rho_exact = _hidden_crossings(engine, t, f, before)
     lo = np.concatenate([t[idx], lo])
     hi = np.concatenate([t[idx + 1], hi])
     f_lo = np.concatenate([f[idx], f_lo])
     f_hi = np.concatenate([f[idx + 1], f_hi])
-    zs = np.concatenate([t[:-1][f[:-1] == 0.0], exact])
-    if lo.size:
-        zs = np.concatenate([_refine_crossings(engine, lo, hi, f_lo, f_hi), zs])
-    zs = zs[(zs > times[0]) & (zs < times[-1])]
-    return np.unique(zs)
+    refined, rho_refined = _refine_crossings(engine, lo, hi, f_lo, f_hi)
+    zero = f[:-1] == 0.0
+    zs = np.concatenate([refined, t[:-1][zero], exact])
+    rho_z = np.concatenate([rho_refined, r[:-1][zero], rho_exact])
+    inside = (zs > times[0]) & (zs < times[-1])
+    zs, first = np.unique(zs[inside], return_index=True)
+    return zs, rho_z[inside][first]
 
 
 def _variation_to(
@@ -270,11 +289,7 @@ def _variation_to(
     endpoint values: a prefix sum over the extrema plus one endpoint term
     answers every end.
     """
-    zs = _extrema_times(engine, times, rates, before=float(ends.max()))
-    if zs.size:
-        rho_z, _, _ = engine.population_sample(zs)
-    else:
-        rho_z = np.empty(0)
+    zs, rho_z = _extrema(engine, times, rho_ee, rates, before=float(ends.max()))
     node_vals = np.concatenate([[rho_ee[0]], rho_z])
     cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(node_vals)))])
     j = np.searchsorted(zs, ends, side="left")
@@ -336,6 +351,13 @@ def qsl_curve(params, taus) -> np.ndarray:
     zero coupling are frozen.  Row i of the returned (len(taus), 7) table
     equals the fields of ``qsl_point(params[i], taus[i])`` bit for bit.
     """
+    table = _curve_table(params, taus)
+    _check_rows(table.T)
+    return table
+
+
+def _curve_table(params, taus) -> np.ndarray:
+    """``qsl_curve``'s table before its rows are checked."""
     if np.ndim(taus) != 1 or len(taus) == 0:
         raise InvalidParams(f"taus must be a nonempty list of times, got {taus!r}")
     plist = [params] * len(taus) if isinstance(params, JCParams) else list(params)
@@ -346,14 +368,16 @@ def qsl_curve(params, taus) -> np.ndarray:
         raise InvalidParams("the parameters of one curve must share (beta, a, b)")
     scaled, powers = np.array([scaled_time(p, tau) for p, tau in zip(plist, taus)]).T
     rho, tvs = _unit_curve(plist[0], scaled, powers)
-    table = _bound_table(np.array(taus, dtype=float), np.abs(rho - 1.0), tvs)
-    _check_rows(table.T)
-    return table
+    return _bound_table(np.array(taus, dtype=float), np.abs(rho - 1.0), tvs)
 
 
 def qsl_point(params: JCParams, tau: float) -> QslPoint:
-    """Speed-limit ratios up to time tau: ``qsl_curve``'s one row."""
-    return QslPoint(*qsl_curve(params, [tau])[0])
+    """Speed-limit ratios up to time tau: ``qsl_curve``'s one row.
+
+    The point is built from the unchecked row, so ``QslPoint`` makes the
+    one check.
+    """
+    return QslPoint(*_curve_table(params, [tau])[0])
 
 
 def qsl_mlmt(params: JCParams, tau: float, tau_d: float) -> MLMTResult:
@@ -431,8 +455,8 @@ def qsl_ratio_formula(params: JCParams, tau: float) -> float:
         raise DegenerateState("amplitudes vanish; reduced state undefined")
     numer = pg / norm
 
-    _, _, rates = engine.population_sample(times)
-    zs = _extrema_times(engine, times, rates, before=tau)
+    rho_ee, _, rates = engine.population_sample(times)
+    zs, _ = _extrema(engine, times, rho_ee, rates, before=tau)
     zs = zs[zs < tau]
     bounds = np.concatenate([[0.0], zs, [tau]])
 

@@ -116,13 +116,18 @@ class SweepSpec:
 
     def params_at(self, value: float) -> tuple[JCParams, float]:
         """Materialize (model parameters, tau) for one axis value."""
+        kw, tau = self._inputs_at(value)
+        return JCParams(**kw), tau
+
+    def _inputs_at(self, value: float) -> tuple[dict, float]:
+        """The ``JCParams`` keywords and the checked tau for one axis value."""
         varied = _AXIS_PARAM[self.axis]
         value = float(value)
         kw = {**self.fixed, varied: value}
         tau = check_time(kw.pop("tau"))
         if varied == "n":
             kw["n"] = _integer(value)
-        return JCParams(**kw), tau
+        return kw, tau
 
     def echo(self) -> dict:
         """JSON-ready echo of the sweep definition."""
@@ -188,9 +193,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[CurveRecord]:
         raise InvalidParams(f"threads must be a positive integer, got {threads!r}")
     records: dict[float, CurveRecord] = {}
     groups: dict[tuple[float, float, float], list[tuple[float, JCParams, float]]] = {}
+    last_kw = None
     for value in map(float, spec.grid):
         try:
-            params, tau = spec.params_at(value)
+            kw, tau = spec._inputs_at(value)
+            # Neighbours with equal model parameters (a whole tau sweep) share one.
+            if kw != last_kw:
+                params, last_kw = JCParams(**kw), kw
             # Checked per value, so a value past the grid cap fails alone.
             scaled_time(params, tau)
         except Exception as exc:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracqsl import jcmodel, qsl
-from fracqsl.errors import GridTooCoarse, InvalidParams
+from fracqsl.errors import GridTooCoarse, InvalidParams, NonConvergence
 from fracqsl.jcmodel import JCParams, QubitDynamics
 from fracqsl.qsl import MLMTResult, QslPoint, qsl_curve, qsl_mlmt, qsl_point, qsl_ratio_formula
 
@@ -397,6 +397,58 @@ class TestFormulaRoute:
             qsl_ratio_formula(JCParams(beta=0.5, lam=0.5, n=2), 0.0)
         with pytest.raises(InvalidParams):
             qsl_ratio_formula(JCParams(beta=0.5, lam=0.5, n=2), True)
+
+
+class TestRefinement:
+    @pytest.mark.parametrize(
+        "params, tau", [(JCParams(0.2, 1.0, 20), 1.0), (JCParams(0.1, 0.5, 20), 3.0)]
+    )
+    def test_found_root_closes_its_bracket(self, monkeypatch, params, tau):
+        # A secant point that lands on a root known to rounding steps a
+        # tolerance inside the bracket and closes it on the next call; it
+        # used to halve the far end for some twenty calls.
+        calls = []
+        sample = QubitDynamics.population_sample
+
+        def counted(engine, times, powers=None):
+            calls.append(np.size(times))
+            return sample(engine, times, powers)
+
+        monkeypatch.setattr(QubitDynamics, "population_sample", counted)
+        qsl_curve(params, [tau])
+        assert len(calls) <= 9
+
+    def test_extremum_populations_are_samples(self, monkeypatch):
+        # The variation reads each extremum's population from the call
+        # that found it: the bits of a fresh sample at that time.
+        found = []
+        extrema = qsl._extrema
+
+        def kept(*args, **kwargs):
+            found.append(extrema(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(qsl, "_extrema", kept)
+        qsl_curve(JCParams(beta=0.2, lam=1.0, n=20), [1.0])
+        (zs, rho_z), = found
+        assert zs.size > 100
+        unit = QubitDynamics(JCParams(beta=0.2, lam=1.0, n=0))
+        assert np.array_equal(rho_z, unit.population_sample(zs)[0])
+
+    def test_open_bracket_is_an_error(self, monkeypatch):
+        # A bracket the iteration cannot close used to answer its midpoint.
+        monkeypatch.setattr(qsl, "_REFINE_CAP", 1)
+        with pytest.raises(NonConvergence, match=r"brackets still open after 1 iterations"):
+            qsl_point(JCParams(beta=0.5, lam=0.5, n=20), 2.0)
+
+    def test_point_checks_its_row_once(self, monkeypatch):
+        checks = []
+        check = qsl._check_rows
+        monkeypatch.setattr(qsl, "_check_rows", lambda cols: checks.append(check(cols)))
+        qsl_point(JCParams(beta=0.5, lam=0.3, n=5), 0.3)
+        assert len(checks) == 1
+        qsl_curve(JCParams(beta=0.5, lam=0.3, n=5), [0.3, 0.6])
+        assert len(checks) == 2
 
 
 class TestGridStability:

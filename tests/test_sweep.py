@@ -279,6 +279,28 @@ class TestRunSweep:
         assert recs[0].error is None
         assert "integer" in recs[1].error
 
+    def test_tau_sweep_builds_one_params(self, monkeypatch):
+        # A tau sweep's model parameters never change, so its values share
+        # one JCParams; the unit-coupling curve builds the other.
+        built = []
+        check = JCParams.__post_init__
+        monkeypatch.setattr(JCParams, "__post_init__", lambda p: built.append(check(p)))
+        spec = small_tau_spec(grid=np.linspace(3.0 / 400.0, 3.0, 400))
+        recs = run_sweep(spec)
+        assert all(r.error is None for r in recs)
+        assert len(built) == 2
+
+    def test_invalid_values_fail_alone_with_their_own_message(self):
+        spec = SweepSpec(
+            axis="lambda",
+            grid=np.array([0.5, 1.5, 2.0, 2.5]),
+            fixed={"beta": 0.5, "n": 2, "tau": 1.0},
+        )
+        recs = run_sweep(spec)
+        assert recs[0].error is None
+        for rec in recs[1:]:
+            assert rec.error == f"InvalidParams: lam must lie in [0, 1], got {rec.axis_value!r}"
+
     def test_threaded_run_is_byte_identical_to_serial(self):
         grid = np.linspace(0.0, 1.0, 9)
         fixed = {"beta": 0.8, "n": 4, "tau": 1.2}
